@@ -53,7 +53,7 @@ __all__ = [
     "RationalVector", "Section", "SheafPoint", "SingletonBlock", "SizeCap",
     "SolveResult", "SubalgebraPoset", "TripleReport", "TwoValuedHom",
     "ValidationError", "ZeroVector", "actualize", "boolean", "born_extend",
-    "bowtie", "cabello18", "canonical_ray", "center", "chain2",
+    "bowtie", "build_poset", "cabello18", "canonical_ray", "center", "chain2",
     "check_modal_axioms", "check_section", "commutes", "element_cap",
     "enumerate_blocks", "enumerate_subalgebras", "export_dot", "extend_hom",
     "extend_to_maximal", "filter_generate", "generated_subalgebra",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
+import numpy as np
 
-from .core import FiniteOML, commutes
+from .core import FiniteOML, maximal_cliques
 from .errors import CapExceeded, ImproperInput, NonCommutingGenerators, ValidationError
 
 DEFAULT_SUBALGEBRA_CAP = 20000
@@ -72,7 +72,7 @@ def subalgebra(host: FiniteOML, carrier) -> BooleanSubalgebra:
                 raise ValidationError("closure-meet", (a, b), f"meet of {a},{b} missing")
             if int(host.join[a, b]) not in members:
                 raise ValidationError("closure-join", (a, b), f"join of {a},{b} missing")
-            if not commutes(host, a, b):
+            if not host.commute[a, b]:
                 raise ValidationError("commutation", (a, b), f"{a} and {b} do not commute")
     for a in sorted_carrier:
         for b in sorted_carrier:
@@ -121,12 +121,12 @@ def generated_subalgebra(host: FiniteOML, generators, within=None) -> BooleanSub
     lexicographically first witness.
     """
     gens = sorted({int(x) for x in generators})
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if not commutes(host, a, b) or not commutes(host, b, a):
-                raise NonCommutingGenerators(
-                    "commutation", (a, b),
-                    f"generators {host.names[a]} and {host.names[b]} do not commute")
+    clash = np.argwhere(~host.commute[np.ix_(gens, gens)])
+    if len(clash):
+        a, b = gens[clash[0, 0]], gens[clash[0, 1]]
+        raise NonCommutingGenerators(
+            "commutation", (a, b),
+            f"generators {host.names[a]} and {host.names[b]} do not commute")
     carrier = _closure(host, gens)
     if within is not None:
         if isinstance(within, BooleanSubalgebra):
@@ -146,14 +146,7 @@ def enumerate_blocks(L: FiniteOML) -> tuple[BooleanSubalgebra, ...]:
     operations, so the blocks are exactly the maximal cliques of the
     commutation graph.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(L.n))
-    for a in range(L.n):
-        for b in range(a + 1, L.n):
-            if commutes(L, a, b) and commutes(L, b, a):
-                g.add_edge(a, b)
-    cliques = [tuple(sorted(c)) for c in nx.find_cliques(g)]
-    return tuple(subalgebra(L, c) for c in sorted(cliques))
+    return tuple(subalgebra(L, c) for c in maximal_cliques(L.commute))
 
 
 def enumerate_subalgebras(L: FiniteOML, cap: int = DEFAULT_SUBALGEBRA_CAP) -> tuple[BooleanSubalgebra, ...]:
@@ -169,10 +162,8 @@ def enumerate_subalgebras(L: FiniteOML, cap: int = DEFAULT_SUBALGEBRA_CAP) -> tu
     while queue:
         base = queue.pop()
         base_set = frozenset(base)
-        for x in L.elements:
+        for x in np.flatnonzero(L.commute[:, base].all(axis=1)).tolist():
             if x in base_set:
-                continue
-            if not all(commutes(L, x, b) and commutes(L, b, x) for b in base):
                 continue
             grown = _closure(L, base + (x,))
             if grown not in found:

@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="input format; overrides extension detection")
     shared.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output format (default: text)")
-    shared.add_argument("--seedless", action="store_true",
-                        help="reserved; runs are always deterministic")
 
     parser = argparse.ArgumentParser(
         prog="omlkit",
@@ -312,9 +310,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.seedless:
-        return _fail(2, "--seedless is reserved; runs are already "
-                        "deterministic and take no seed")
     try:
         kind, payload = _load(args)
         text, doc = _HANDLERS[args.command](args, kind, payload)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,13 @@ class FiniteOML:
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.leq[a, b])
+
+    @cached_property
+    def commute(self) -> np.ndarray:
+        """Read-only bool table; commute[a, b] means a = (a ^ b) v (a ^ ~b)."""
+        table = self.join[self.meet, self.meet[:, self.neg]] == np.arange(self.n)[:, None]
+        table.setflags(write=False)
+        return table
 
     def index(self, name: str) -> int:
         try:
@@ -197,8 +205,43 @@ def verify_oml(leq, neg, names=None, cap: int | None = None) -> FiniteOML:
 
 
 def commutes(L: FiniteOML, a: int, b: int) -> bool:
-    """True when a = (a ^ b) v (a ^ ~b)."""
-    return int(L.join[L.meet[a, b], L.meet[a, L.neg[b]]]) == a
+    """True when a = (a ^ b) v (a ^ ~b), read from ``L.commute``."""
+    return bool(L.commute[a, b])
+
+
+def _bits(mask: int):
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def maximal_cliques(adjacent) -> tuple[tuple[int, ...], ...]:
+    """Maximal cliques of an undirected graph, each sorted, in sorted order.
+
+    ``adjacent`` is a symmetric bool matrix; its diagonal is ignored.
+    Bron-Kerbosch with Tomita pivoting over int bitsets, run from an
+    explicit stack so clique size is not bounded by the recursion limit.
+    A graph with no vertices has no cliques.
+    """
+    rows = np.asarray(adjacent, dtype=bool)
+    nbrs = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            & ~(1 << v) for v, row in enumerate(rows)]
+    cliques = []
+    stack = [((), (1 << len(nbrs)) - 1, 0)] if nbrs else []
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                cliques.append(tuple(sorted(r)))
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (p & nbrs[u]).bit_count())
+        for v in _bits(p & ~nbrs[pivot]):
+            stack.append((r + (v,), p & nbrs[v], x & nbrs[v]))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return tuple(sorted(cliques))
 
 
 @dataclass(frozen=True)
@@ -235,20 +278,16 @@ def triple_check(L: FiniteOML, a: int, b: int, c: int) -> TripleReport:
 
 
 def center(L: FiniteOML) -> tuple[int, ...]:
-    """Elements forming a symmetrized-distributive triple with every pair.
+    """Elements that commute with every element, ascending.
 
-    The result is always a Boolean subalgebra carrier containing 0 and 1;
-    this is asserted rather than trusted.
+    In an orthomodular lattice commutation is symmetric, and an element
+    is central (forms a distributive triple with every pair) exactly
+    when it commutes with everything (Foulis-Holland theorem; Kalmbach,
+    *Orthomodular Lattices*, 1983).  The result is always a Boolean
+    subalgebra carrier containing 0 and 1; this is asserted rather than
+    trusted.
     """
-    members = []
-    for z in L.elements:
-        # commuting with everything is necessary (take b = ~a in the D law),
-        # so use it as a cheap prefilter before the full triple sweep
-        if not all(commutes(L, z, a) for a in L.elements):
-            continue
-        if all(triple_check(L, a, b, z).holds_t for a in L.elements for b in L.elements):
-            members.append(z)
-    out = tuple(members)
+    out = tuple(int(z) for z in np.flatnonzero(L.commute.all(axis=1)))
     assert L.zero in out and L.one in out
     got = set(out)
     for x in out:

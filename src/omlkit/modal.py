@@ -118,10 +118,8 @@ def check_modal_axioms(M: ModalStructure) -> ModalAxiomReport:
     report("S4", "box(box(x)) = box(x)", box[box] == box)
     report("S5", "box(x ^ y) = box(x) ^ box(y)",
            box[L.meet] == L.meet[np.ix_(box, box)])
-    # tables indexed [x, y]: meet and join are symmetric, so row-picking
-    # by box[x] keeps the orientation
-    report("S6", "y = (y ^ box(x)) v (y ^ ~box(x))",
-           L.join[L.meet[box], L.meet[L.neg[box]]] == idx[None, :])
+    # transposed so that, like the other tables, it is indexed [x, y]
+    report("S6", "y = (y ^ box(x)) v (y ^ ~box(x))", L.commute[:, box].T)
     report("S7", "box(x v box(y)) = box(x) v box(y)",
            box[L.join[:, box]] == L.join[np.ix_(box, box)])
     report("S8", "box(~x v (y ^ x)) <= ~box(x) v box(y)",

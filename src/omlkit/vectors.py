@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import networkx as nx
 import numpy as np
 
+from .core import maximal_cliques
 from .errors import DimensionMismatch, ParseError, ZeroVector
 
 
@@ -100,27 +100,16 @@ def hypergraph_from_rays(dim: int, rays) -> ContextHypergraph:
         for j in range(i + 1, n):
             if unique[i].dot(unique[j]) == 0:
                 ortho[i, j] = ortho[j, i] = True
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if ortho[i, j]:
-                g.add_edge(i, j)
-    contexts = []
-    submaximal = 0
-    for clique in nx.find_cliques(g):
-        if len(clique) == dim:
-            contexts.append(tuple(sorted(clique)))
-        else:
-            submaximal += 1
+    cliques = maximal_cliques(ortho)
+    contexts = tuple(c for c in cliques if len(c) == dim)
     ortho.setflags(write=False)
     return ContextHypergraph(
         dim=dim,
         vertices=tuple(r.name for r in unique),
         vectors=tuple(unique),
         orthogonal=ortho,
-        contexts=tuple(sorted(contexts)),
-        submaximal_cliques=submaximal,
+        contexts=contexts,
+        submaximal_cliques=len(cliques) - len(contexts),
     )
 
 

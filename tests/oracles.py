@@ -9,6 +9,7 @@ the oracle's count is the ground truth.
 """
 
 from collections import Counter
+from itertools import combinations
 from itertools import product as iproduct
 
 
@@ -68,6 +69,21 @@ def center_oracle(L):
                for a in range(L.n)):
             out.append(z)
     return tuple(out)
+
+
+def maximal_cliques_oracle(adjacent):
+    """Maximal pairwise-adjacent vertex sets, by trying every subset.
+
+    ``adjacent`` is a symmetric bool matrix with at most 10 vertices;
+    its diagonal is ignored.  Cliques are sorted tuples in sorted order.
+    """
+    n = len(adjacent)
+    assert n <= 10
+    cliques = [s for k in range(1, n + 1) for s in combinations(range(n), k)
+               if all(adjacent[a][b] for a, b in combinations(s, 2))]
+    return sorted(s for s in cliques
+                  if not any(all(adjacent[v][u] for u in s)
+                             for v in range(n) if v not in s))
 
 
 def _atoms_of_carrier(L, carrier):

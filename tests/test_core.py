@@ -1,19 +1,40 @@
 """Order verification, commutation, triples, centre, and products."""
 
+import random
+import time
+
 import numpy as np
 import pytest
 
 from omlkit import (NotALattice, NotOrtho, NotOrthomodular, SizeCap, center,
-                    commutes, product, triple_check, verify_oml)
-from omlkit.core import element_cap
-from omlkit.corpus import CORPUS, boolean, bowtie, mo
+                    commutes, parse_greechie, paste, product, triple_check,
+                    verify_oml)
+from omlkit.core import element_cap, maximal_cliques
+from omlkit.corpus import CORPUS, boolean, bowtie, mo, pentagon
 
-from oracles import center_oracle
+from oracles import center_oracle, maximal_cliques_oracle
+
+
+def loop3(k):
+    """k three-atom blocks in a ring, neighbours sharing one atom."""
+    return paste(parse_greechie("".join(f"a{i} b{i} a{(i + 1) % k}\n"
+                                        for i in range(k))))
+
+
+GENERATED = {
+    **{f"loop3_{k}": (lambda k=k: loop3(k)) for k in range(5, 9)},
+    **{f"boolean{k}": (lambda k=k: boolean(k)) for k in range(5, 8)},
+    "mo8": lambda: mo(8),
+    "b2xpentagon": lambda: product(boolean(2), pentagon()),
+}
 
 CENTER_SIZES = {
     "chain2": 2, "boolean2": 4, "boolean3": 8, "boolean4": 16,
     "mo2": 2, "mo3": 2, "mo4": 2, "bowtie": 4, "pentagon": 2,
     "b2xmo2": 8, "mo2xmo2": 4,
+    "loop3_5": 2, "loop3_6": 2, "loop3_7": 2, "loop3_8": 2,
+    "boolean5": 32, "boolean6": 64, "boolean7": 128, "mo8": 2,
+    "b2xpentagon": 8,
 }
 
 
@@ -187,12 +208,16 @@ def test_commutes():
     assert commutes(L, a, a2)
     assert not commutes(L, a, b)
     assert commutes(L, L.zero, b) and commutes(L, L.one, b)
-    # commutation is symmetric on every corpus lattice
-    for make in (lambda: mo(3), bowtie):
+    # the table matches the defining arithmetic, is read-only, and is
+    # symmetric (an orthomodular theorem, not enforced by construction)
+    for name, make in {**CORPUS, **GENERATED}.items():
         K = make()
+        assert not K.commute.flags.writeable, name
+        assert (K.commute == K.commute.T).all(), name
         for x in K.elements:
             for y in K.elements:
-                assert commutes(K, x, y) == commutes(K, y, x)
+                assert commutes(K, x, y) == (
+                    int(K.join[K.meet[x, y], K.meet[x, K.neg[y]]]) == x), name
 
 
 def test_triple_check():
@@ -213,7 +238,7 @@ def test_triple_check():
 
 
 def test_center_matches_oracle():
-    for name, make in CORPUS.items():
+    for name, make in {**CORPUS, **GENERATED}.items():
         L = make()
         z = center(L)
         assert z == center_oracle(L), name
@@ -239,3 +264,30 @@ def test_product_structure():
                     m = int(A.meet[x, u]) * B.n + int(B.meet[y, v])
                     assert int(P.meet[i, j]) == m
     assert [P.names[z] for z in center(P)][:2] == ["(0,0)", "(0,1)"]
+
+
+def test_maximal_cliques_matches_oracle():
+    rng = random.Random(20061222)
+    for _ in range(200):
+        n = rng.randint(0, 10)
+        density = rng.random()
+        adj = np.zeros((n, n), dtype=bool)
+        for a in range(n):
+            for b in range(a + 1, n):
+                adj[a, b] = adj[b, a] = rng.random() < density
+        assert list(maximal_cliques(adj)) == maximal_cliques_oracle(adj)
+    # a triangle plus an isolated vertex; the edgeless graph; no vertices
+    triangle = np.zeros((4, 4), dtype=bool)
+    triangle[:3, :3] = True
+    for adj, expected in ((triangle, [(0, 1, 2), (3,)]),
+                          (np.zeros((5, 5), dtype=bool), [(v,) for v in range(5)]),
+                          (np.zeros((0, 0), dtype=bool), [])):
+        assert maximal_cliques_oracle(adj) == expected
+        assert list(maximal_cliques(adj)) == expected
+
+
+def test_center_of_boolean8_is_fast():
+    L = boolean(8)
+    t0 = time.perf_counter()
+    assert center(L) == tuple(range(256))
+    assert time.perf_counter() - t0 < 1.0

@@ -43,6 +43,12 @@ def test_basis_gives_one_context():
     assert h.contexts_of(0) == (0,)
 
 
+def test_no_rays_give_no_cliques():
+    h = hypergraph_from_rays(3, [])
+    assert h.contexts == ()
+    assert h.submaximal_cliques == 0
+
+
 def test_orthogonality_is_exact():
     big = 10**20
     h = hypergraph_from_rays(3, [
