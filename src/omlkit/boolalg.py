@@ -1,10 +1,12 @@
 """Boolean subalgebras of a finite orthomodular lattice.
 
 A Boolean subalgebra is a carrier closed under meet, join and
-complement whose members pairwise commute and satisfy distributivity.
-Blocks are the maximal ones.  Filters and two-valued homomorphisms on
-these subalgebras are the raw material for sections of the spectral
-presentation built in :mod:`omlkit.sheaf`.
+complement whose members pairwise commute; by the Foulis–Holland
+theorem it is then distributive.  Blocks are the maximal ones.  Every
+subalgebra the library makes is built from its atoms, and only the
+public :func:`subalgebra` validates a carrier.  Filters and two-valued
+homomorphisms on these subalgebras are the raw material for sections of
+the spectral presentation built in :mod:`omlkit.sheaf`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ DEFAULT_SUBALGEBRA_CAP = 20000
 
 @dataclass(frozen=True, eq=False)
 class BooleanSubalgebra:
-    """A validated Boolean subalgebra, identified by its sorted carrier."""
+    """A Boolean subalgebra, identified by its sorted carrier."""
 
     host: FiniteOML
     carrier: tuple[int, ...]
@@ -50,17 +52,41 @@ class BooleanSubalgebra:
         return f"BooleanSubalgebra({self.label()})"
 
 
-def subalgebra(host: FiniteOML, carrier) -> BooleanSubalgebra:
-    """Validate a carrier as a Boolean subalgebra of the host lattice.
+def _boolean(host: FiniteOML, atoms) -> BooleanSubalgebra:
+    """The Boolean subalgebra with the given atoms, built without checks:
+    callers pass nonzero, pairwise-orthogonal atoms that join to 1."""
+    members = {host.zero}
+    for a in atoms:
+        members |= {int(host.join[x, a]) for x in members}
+    return BooleanSubalgebra(host=host, carrier=tuple(sorted(members)),
+                             atoms=tuple(sorted(atoms)),
+                             member_set=frozenset(members))
 
-    Checks bounds membership, closure under the three operations,
-    pairwise commutation, and distributivity inside the carrier.
-    """
-    members = frozenset(int(x) for x in carrier)
-    for x in members:
+
+def _atoms_of(host: FiniteOML, carrier) -> list[int]:
+    """The atoms of a Boolean carrier: the members with exactly two
+    members (0 and themselves) below them."""
+    c = np.asarray(carrier, dtype=np.int64)
+    return c[host.leq[np.ix_(c, c)].sum(axis=0) == 2].tolist()
+
+
+def _check_range(host: FiniteOML, elements) -> None:
+    for x in elements:
         if not 0 <= x < host.n:
             raise ValidationError("range", (x,),
                                   f"element {x} is outside the host lattice")
+
+
+def subalgebra(host: FiniteOML, carrier) -> BooleanSubalgebra:
+    """Validate a carrier as a Boolean subalgebra of the host lattice.
+
+    Checks bounds membership, closure under the three operations and
+    pairwise commutation.  A closed, pairwise-commuting carrier is
+    distributive by the Foulis–Holland theorem, so that law needs no
+    check of its own.
+    """
+    members = frozenset(int(x) for x in carrier)
+    _check_range(host, members)
     if host.zero not in members or host.one not in members:
         raise ValidationError("bounds", (), "carrier must contain 0 and 1")
     sorted_carrier = tuple(sorted(members))
@@ -74,129 +100,96 @@ def subalgebra(host: FiniteOML, carrier) -> BooleanSubalgebra:
                 raise ValidationError("closure-join", (a, b), f"join of {a},{b} missing")
             if not host.commute[a, b]:
                 raise ValidationError("commutation", (a, b), f"{a} and {b} do not commute")
-    for a in sorted_carrier:
-        for b in sorted_carrier:
-            ab = int(host.join[a, b])
-            for c in sorted_carrier:
-                if int(host.meet[ab, c]) != int(host.join[host.meet[a, c], host.meet[b, c]]):
-                    raise ValidationError("distributivity", (a, b, c),
-                                          "carrier is not distributive")
-    atoms = tuple(
-        a for a in sorted_carrier
-        if a != host.zero
-        and not any(b != host.zero and b != a and host.leq[b, a] for b in sorted_carrier)
-    )
-    return BooleanSubalgebra(host=host, carrier=sorted_carrier, atoms=atoms,
-                             member_set=members)
-
-
-def _closure(host: FiniteOML, seed) -> tuple[int, ...]:
-    got = set(seed)
-    got.add(host.zero)
-    got.add(host.one)
-    frontier = sorted(got)
-    while frontier:
-        new = set()
-        for a in frontier:
-            x = int(host.neg[a])
-            if x not in got:
-                new.add(x)
-        current = sorted(got)
-        for a in current:
-            for b in current:
-                for x in (int(host.meet[a, b]), int(host.join[a, b])):
-                    if x not in got:
-                        new.add(x)
-        got |= new
-        frontier = sorted(new)
-    return tuple(sorted(got))
+    return _boolean(host, _atoms_of(host, sorted_carrier))
 
 
 def generated_subalgebra(host: FiniteOML, generators, within=None) -> BooleanSubalgebra:
-    """Close a pairwise-commuting generating set under the lattice operations.
+    """The Boolean subalgebra generated by a pairwise-commuting set.
 
-    ``within`` optionally restricts the allowed carrier (a subalgebra or
-    any collection of element indices); escaping it is a validation
-    error.  Non-commuting generator pairs are rejected with the
-    lexicographically first witness.
+    By Foulis–Holland the generated subalgebra is Boolean and its atoms
+    are the nonzero minterms of the generators, so each generator g
+    splits every atom a into a∧g and a∧¬g.  ``within`` optionally
+    restricts the allowed carrier (a subalgebra or any collection of
+    element indices); escaping it is a validation error.  Non-commuting
+    generator pairs are rejected with the lexicographically first
+    witness.
     """
     gens = sorted({int(x) for x in generators})
+    _check_range(host, gens)
     clash = np.argwhere(~host.commute[np.ix_(gens, gens)])
     if len(clash):
         a, b = gens[clash[0, 0]], gens[clash[0, 1]]
         raise NonCommutingGenerators(
             "commutation", (a, b),
             f"generators {host.names[a]} and {host.names[b]} do not commute")
-    carrier = _closure(host, gens)
+    atoms = [host.one]
+    for g in gens:
+        ng = host.neg[g]
+        atoms = [x for a in atoms for x in (int(host.meet[a, g]), int(host.meet[a, ng]))
+                 if x != host.zero]
+    out = _boolean(host, atoms)
     if within is not None:
         if isinstance(within, BooleanSubalgebra):
             within = within.carrier
         allowed = frozenset(int(x) for x in within)
-        for x in carrier:
+        for x in out.carrier:
             if x not in allowed:
                 raise ValidationError("escape", (x,),
                                       "generated carrier leaves the allowed universe")
-    return subalgebra(host, carrier)
+    return out
 
 
 def enumerate_blocks(L: FiniteOML) -> tuple[BooleanSubalgebra, ...]:
     """All maximal Boolean subalgebras, in canonical carrier order.
 
-    Maximal pairwise-commuting subsets are closed under the lattice
-    operations, so the blocks are exactly the maximal cliques of the
-    commutation graph.
+    In an orthomodular lattice a maximal pairwise-commuting subset is
+    closed under the lattice operations (Kalmbach, *Orthomodular
+    Lattices*, 1983), so the blocks are exactly the maximal cliques of
+    the commutation graph.
     """
-    return tuple(subalgebra(L, c) for c in maximal_cliques(L.commute))
+    return tuple(_boolean(L, _atoms_of(L, c)) for c in maximal_cliques(L.commute))
+
+
+def _partition_atoms(host: FiniteOML, atoms):
+    """Joined parts of every set partition of the atoms: in each partition
+    of the rest, the first atom gets a part of its own or joins one."""
+    if not atoms:
+        yield ()
+        return
+    first = atoms[0]
+    for rest in _partition_atoms(host, atoms[1:]):
+        yield (first,) + rest
+        for i, x in enumerate(rest):
+            yield rest[:i] + (int(host.join[first, x]),) + rest[i + 1:]
 
 
 def enumerate_subalgebras(L: FiniteOML, cap: int = DEFAULT_SUBALGEBRA_CAP) -> tuple[BooleanSubalgebra, ...]:
     """Every Boolean subalgebra of L (not just maximal ones).
 
-    Grows closures one commuting element at a time, deduplicating by
-    carrier.  Raises CapExceeded with the count reached if the family
-    grows past ``cap``.
+    Every Boolean subalgebra lies inside a block (Kalmbach, 1983), so
+    this is the union of :func:`subalgebras_within` over the blocks,
+    deduplicated.  Raises CapExceeded with the count reached as soon as
+    the family grows past ``cap``, before a large block is exhausted.
     """
-    first = _closure(L, ())
-    found = {first}
-    queue = [first]
-    while queue:
-        base = queue.pop()
-        base_set = frozenset(base)
-        for x in np.flatnonzero(L.commute[:, base].all(axis=1)).tolist():
-            if x in base_set:
-                continue
-            grown = _closure(L, base + (x,))
-            if grown not in found:
-                found.add(grown)
+    found: dict[tuple[int, ...], BooleanSubalgebra] = {}
+    for block in enumerate_blocks(L):
+        for atoms in _partition_atoms(L, block.atoms):
+            atoms = tuple(sorted(atoms))
+            if atoms not in found:
+                found[atoms] = _boolean(L, atoms)
                 if len(found) > cap:
                     raise CapExceeded(len(found), cap, "Boolean subalgebras")
-                queue.append(grown)
-    ordered = sorted(found, key=lambda c: (len(c), c))
-    return tuple(subalgebra(L, c) for c in ordered)
+    return tuple(sorted(found.values(), key=lambda s: (len(s), s.carrier)))
 
 
 def subalgebras_within(A: BooleanSubalgebra) -> tuple[BooleanSubalgebra, ...]:
     """Every Boolean subalgebra contained in A, in canonical order.
 
-    Everything in A already commutes, so this is pure closure growth
-    over subsets of A's carrier.
+    The Boolean subalgebras of A are the set partitions of A's atoms,
+    Bell(k) of them for k atoms; each part joins to one new atom.
     """
-    host = A.host
-    first = _closure(host, ())
-    found = {first}
-    queue = [first]
-    while queue:
-        base = queue.pop()
-        base_set = frozenset(base)
-        for x in A.carrier:
-            if x in base_set:
-                continue
-            grown = _closure(host, base + (x,))
-            if grown not in found:
-                found.add(grown)
-                queue.append(grown)
-    ordered = sorted(found, key=lambda c: (len(c), c))
-    return tuple(subalgebra(host, c) for c in ordered)
+    subs = (_boolean(A.host, atoms) for atoms in _partition_atoms(A.host, A.atoms))
+    return tuple(sorted(subs, key=lambda s: (len(s), s.carrier)))
 
 
 @dataclass(frozen=True)

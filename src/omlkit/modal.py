@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boolalg import (BooleanSubalgebra, TwoValuedHom, extend_hom,
+from .boolalg import (BooleanSubalgebra, TwoValuedHom, _boolean, extend_hom,
                       extend_to_maximal, filter_generate, generated_subalgebra,
-                      subalgebra)
+                      homs_to_2)
 from .core import FiniteOML, center, product, verify_oml
 from .errors import (EmbeddingInvalid, IncompatibleGlobalSection, NotInW,
                      PreconditionPossibility, ValidationError)
@@ -249,7 +249,6 @@ class PossibilitySection:
 
 def possibility_sections(S: PossibilitySpace) -> tuple[PossibilitySection, ...]:
     """Every valuation of the possibility space, one per atom."""
-    from .boolalg import homs_to_2
     return tuple(PossibilitySection(space=S, hom=h) for h in homs_to_2(S.algebra))
 
 
@@ -306,7 +305,7 @@ def born_extend(E: ModalExtension, s: Section) -> Section:
     W = P_base.nodes[w_idx].subalg
 
     M = E.structure
-    image = subalgebra(M.lattice, E.embed_carrier(W.carrier))
+    image = _boolean(M.lattice, [E.embed[a] for a in W.atoms])
     f_image = TwoValuedHom(domain=image, true_atom=E.embed[f.true_atom])
     space = possibility_space(E).algebra
     span = generated_subalgebra(

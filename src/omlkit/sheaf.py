@@ -21,8 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolalg import (BooleanSubalgebra, TwoValuedHom, enumerate_blocks,
-                      enumerate_subalgebras, subalgebra)
+from .boolalg import (DEFAULT_SUBALGEBRA_CAP, BooleanSubalgebra, TwoValuedHom,
+                      _atoms_of, _boolean, enumerate_blocks, enumerate_subalgebras,
+                      subalgebras_within)
 from .core import FiniteOML
 from .errors import CapExceeded
 from .vectors import ContextHypergraph
@@ -116,12 +117,13 @@ def _lattice_poset(L: FiniteOML, mode: str, cap: int) -> SubalgebraPoset:
         subs = list(enumerate_subalgebras(L, cap=cap))
     else:
         blocks = enumerate_blocks(L)
-        carriers = {b.carrier for b in blocks}
+        by_carrier = {b.carrier: b for b in blocks}
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
-                inter = tuple(sorted(set(blocks[i].carrier) & set(blocks[j].carrier)))
-                carriers.add(inter)
-        subs = [subalgebra(L, c) for c in sorted(carriers, key=lambda c: (len(c), c))]
+                inter = tuple(sorted(blocks[i].member_set & blocks[j].member_set))
+                if inter not in by_carrier:
+                    by_carrier[inter] = _boolean(L, _atoms_of(L, inter))
+        subs = [by_carrier[c] for c in sorted(by_carrier, key=lambda c: (len(c), c))]
     return _assemble_lattice_poset(L, subs, mode)
 
 
@@ -131,7 +133,6 @@ def principal_poset(A: BooleanSubalgebra) -> SubalgebraPoset:
     The nodes below A in the full poset are exactly the Boolean
     subalgebras contained in A, so no global enumeration is needed.
     """
-    from .boolalg import subalgebras_within
     return _assemble_lattice_poset(A.host, subalgebras_within(A), "down")
 
 
@@ -171,7 +172,6 @@ def build_poset(obj, mode: str = "all", cap: int | None = None) -> SubalgebraPos
     if mode not in ("all", "blocks"):
         raise ValueError(f"unknown poset mode {mode!r}")
     if isinstance(obj, FiniteOML):
-        from .boolalg import DEFAULT_SUBALGEBRA_CAP
         return _lattice_poset(obj, mode, cap or DEFAULT_SUBALGEBRA_CAP)
     if isinstance(obj, ContextHypergraph):
         if mode != "blocks":

@@ -1,15 +1,18 @@
 """Boolean subalgebras, blocks, filters, and two-valued homomorphisms."""
 
+import random
+
 import pytest
 
 from omlkit import (CapExceeded, Filter, ImproperInput,
                     NonCommutingGenerators, TwoValuedHom, ValidationError,
                     enumerate_blocks, enumerate_subalgebras, extend_hom,
                     extend_to_maximal, filter_generate, generated_subalgebra,
-                    homs_to_2, subalgebra, subalgebras_within)
-from omlkit.corpus import CORPUS, boolean, bowtie, mo
+                    homs_to_2, product, subalgebra, subalgebras_within)
+from omlkit.corpus import CORPUS, boolean, bowtie, chain2, mo, pentagon
 
 from oracles import maximal_carriers_oracle, subalgebra_carriers_oracle
+from test_core import loop3
 
 SUBALGEBRA_COUNTS = {
     "chain2": 1, "boolean2": 2, "boolean3": 5, "boolean4": 15,
@@ -47,7 +50,7 @@ def test_subalgebra_rejects_bad_carriers():
     # the full MO2 carrier is operation-closed but not Boolean
     with pytest.raises(ValidationError) as e:
         subalgebra(L, tuple(range(6)))
-    assert e.value.law in ("commutation", "distributivity")
+    assert e.value.law == "commutation"
 
 
 def test_subalgebra_identity_semantics():
@@ -69,6 +72,25 @@ def test_generated_subalgebra():
         generated_subalgebra(L, (L.index("b"), L.index("a")))
     # witness pair reported in element order
     assert e.value.witness == (L.index("a"), L.index("b"))
+    # out-of-range generators are validation errors, not index errors
+    for bad in (-1, L.n):
+        with pytest.raises(ValidationError) as e:
+            generated_subalgebra(L, (L.index("a"), bad))
+        assert (e.value.law, e.value.witness) == ("range", (bad,))
+    # seeded pairwise-commuting generator sets: the generated carrier is
+    # the smallest oracle carrier containing them
+    rng = random.Random(20260314)
+    for name, make in CORPUS.items():
+        L = make()
+        carriers = subalgebra_carriers_oracle(L)
+        for _ in range(30):
+            gens, size = [], rng.randint(1, 3)
+            for x in rng.sample(range(L.n), L.n):
+                if len(gens) < size and all(
+                        int(L.join[L.meet[x, y], L.meet[x, L.neg[y]]]) == x for y in gens):
+                    gens.append(x)
+            expected = next(c for c in carriers if set(gens) <= set(c))
+            assert generated_subalgebra(L, gens).carrier == expected, (name, gens)
 
 
 def test_generated_within():
@@ -89,18 +111,27 @@ def test_enumerate_blocks_matches_oracle_and_diagrams():
 
 
 def test_enumerate_subalgebras_matches_oracle():
-    for name, make in CORPUS.items():
+    generated = {"loop3_5": lambda: loop3(5), "loop3_6": lambda: loop3(6),
+                 "boolean5": lambda: boolean(5), "mo6": lambda: mo(6),
+                 "b2xpentagon": lambda: product(boolean(2), pentagon())}
+    for name, make in {**CORPUS, **generated}.items():
         L = make()
         got = [s.carrier for s in enumerate_subalgebras(L)]
         assert got == subalgebra_carriers_oracle(L), name
-        assert len(got) == SUBALGEBRA_COUNTS[name], name
+        if name in SUBALGEBRA_COUNTS:
+            assert len(got) == SUBALGEBRA_COUNTS[name], name
         # canonical order: by size then carrier
         assert got == sorted(got, key=lambda c: (len(c), c))
 
 
 def test_enumerate_subalgebras_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as e:
         enumerate_subalgebras(boolean(4), cap=10)
+    assert e.value.count == 11
+    # the trivial subalgebra counts too: the cap trips at cap + 1 always
+    with pytest.raises(CapExceeded) as e:
+        enumerate_subalgebras(chain2(), cap=0)
+    assert e.value.count == 1
 
 
 def test_subalgebras_within_block():
@@ -111,6 +142,24 @@ def test_subalgebras_within_block():
     assert len(inner) == 5
     assert all(set(s.carrier) <= set(W.carrier) for s in inner)
     assert inner[-1].carrier == W.carrier
+    # the subalgebras of 2^k are the Bell(k) set partitions of its atoms
+    for k, bell in enumerate((1, 2, 5, 15, 52, 203, 877), start=1):
+        B = boolean(k)
+        assert len(subalgebras_within(subalgebra(B, B.elements))) == bell, k
+
+
+def test_producers_agree_with_validation():
+    # every subalgebra built from its atoms passes the public validation
+    # unchanged
+    for name, make in CORPUS.items():
+        L = make()
+        blocks = enumerate_blocks(L)
+        produced = [*blocks, *enumerate_subalgebras(L),
+                    *(s for b in blocks for s in subalgebras_within(b))]
+        for s in produced:
+            checked = subalgebra(L, s.carrier)
+            assert (s.carrier, s.atoms) == (checked.carrier, checked.atoms), name
+            assert s.member_set == frozenset(s.carrier), name
 
 
 def test_filters():

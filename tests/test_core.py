@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from omlkit import (NotALattice, NotOrtho, NotOrthomodular, SizeCap, center,
-                    commutes, parse_greechie, paste, product, triple_check,
-                    verify_oml)
+                    commutes, enumerate_blocks, parse_greechie, paste, product,
+                    triple_check, verify_oml)
 from omlkit.core import element_cap, maximal_cliques
 from omlkit.corpus import CORPUS, boolean, bowtie, mo, pentagon
 
@@ -290,4 +290,12 @@ def test_center_of_boolean8_is_fast():
     L = boolean(8)
     t0 = time.perf_counter()
     assert center(L) == tuple(range(256))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_enumerate_blocks_of_boolean8_is_fast():
+    L = boolean(8)
+    t0 = time.perf_counter()
+    (block,) = enumerate_blocks(L)
+    assert block.carrier == tuple(range(256))
     assert time.perf_counter() - t0 < 1.0
