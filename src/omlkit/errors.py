@@ -77,7 +77,8 @@ class NotInW(ValidationError):
 
 
 class IncompatibleGlobalSection(ValidationError):
-    """A global section induces conflicting values on the possibility space."""
+    """A global section breaks a section law or induces conflicting values
+    on the possibility space."""
 
 
 class ParseError(OmlkitError):

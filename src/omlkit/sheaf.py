@@ -9,14 +9,19 @@ to every node of a downward-closed domain so that restriction along
 inclusions commutes; a global section is one defined everywhere, and
 deciding whether any exists is the solver's job.
 
-Homs are stored by the atom they send to 1, as node-local atom labels,
-which makes the two node flavours uniform.
+A two-valued hom is named by its true atom, the one atom it sends to 1,
+so the homs on a node are its atom labels.  The presheaf lives on the
+poset: each inclusion carries a restriction map, one table from the
+parent's atom ordinals to the child's, computed once per inclusion.
+Two homs on different nodes are compatible when they agree on the meet
+of the nodes, that is when they restrict to the same atom there.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +30,7 @@ from .boolalg import (DEFAULT_SUBALGEBRA_CAP, BooleanSubalgebra, TwoValuedHom,
                       _atoms_of, _boolean, enumerate_blocks, enumerate_subalgebras,
                       subalgebras_within)
 from .core import FiniteOML
-from .errors import CapExceeded
+from .errors import CapExceeded, IncompatibleGlobalSection
 from .vectors import ContextHypergraph
 
 REST_LABEL = "rest"
@@ -40,7 +45,6 @@ class PosetNode:
     kind: str  # "lattice" | "context" | "overlap" | "trivial"
     atom_labels: tuple[str, ...]
     subalg: BooleanSubalgebra | None = None
-    vertex_set: frozenset = frozenset()
     has_rest: bool = False
 
     def __repr__(self) -> str:
@@ -49,7 +53,8 @@ class PosetNode:
 
 @dataclass(frozen=True, eq=False)
 class SubalgebraPoset:
-    """Nodes in canonical order with their inclusion relation."""
+    """Nodes in canonical order with their inclusion relation; down-sets
+    and restriction maps are computed on first use and kept."""
 
     kind: str  # "lattice" | "hypergraph"
     host: FiniteOML | None
@@ -57,13 +62,17 @@ class SubalgebraPoset:
     mode: str
     nodes: tuple[PosetNode, ...]
     leq: np.ndarray  # bool, node inclusion
+    _down: dict = field(default_factory=dict, init=False, repr=False)
+    _maps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
     def down(self, i: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.leq[:, i]))
+        if i not in self._down:
+            self._down[i] = tuple(np.flatnonzero(self.leq[:, i]).tolist())
+        return self._down[i]
 
     def maximal_nodes(self) -> tuple[int, ...]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
@@ -75,22 +84,33 @@ class SubalgebraPoset:
                 return i
         raise KeyError(f"no node labelled {label!r}")
 
+    def restriction(self, parent: int, child: int) -> tuple[int, ...]:
+        """The restriction map of the inclusion child <= parent: for each
+        atom ordinal of the parent, the ordinal of the child atom that a
+        hom true at that parent atom is true at."""
+        key = (parent, child)
+        if key not in self._maps:
+            pnode, cnode = self.nodes[parent], self.nodes[child]
+            if not self.leq[child, parent]:
+                raise ValueError(f"node {cnode.label} is not below node {pnode.label}; "
+                                 "restriction runs down the order")
+            if self.kind == "lattice":
+                # each parent atom lies below exactly one child atom
+                leq, atoms = self.host.leq, cnode.subalg.atoms
+                self._maps[key] = tuple(next(k for k, b in enumerate(atoms) if leq[a, b])
+                                        for a in pnode.subalg.atoms)
+            else:
+                # a shared vertex keeps its label; every other one lumps
+                # into the last atom ("rest", or the trivial node's "1")
+                labels, last = cnode.atom_labels, len(cnode.atom_labels) - 1
+                self._maps[key] = tuple(labels.index(a) if a in labels else last
+                                        for a in pnode.atom_labels)
+        return self._maps[key]
+
     def restrict_label(self, parent: int, atom_label: str, child: int) -> str:
         """Push a hom (named by its true atom) down an inclusion."""
-        if parent == child:
-            return atom_label
-        assert self.leq[child, parent], "restriction runs down the order"
-        pnode, cnode = self.nodes[parent], self.nodes[child]
-        if self.kind == "lattice":
-            alpha = pnode.subalg.host.index(atom_label)
-            hom = TwoValuedHom(domain=pnode.subalg, true_atom=alpha)
-            return self.host.names[hom.restrict(cnode.subalg).true_atom]
-        if cnode.kind == "trivial":
-            return cnode.atom_labels[0]
-        # context -> overlap: keep the vertex if shared, else the lump
-        if atom_label in cnode.atom_labels and atom_label != REST_LABEL:
-            return atom_label
-        return REST_LABEL
+        row = self.restriction(parent, child)
+        return self.nodes[child].atom_labels[row[self.nodes[parent].atom_labels.index(atom_label)]]
 
     def __repr__(self) -> str:
         return f"SubalgebraPoset({self.kind}/{self.mode}, nodes={self.n})"
@@ -102,11 +122,10 @@ def _assemble_lattice_poset(L: FiniteOML, subs, mode: str) -> SubalgebraPoset:
                   atom_labels=tuple(L.names[a] for a in s.atoms), subalg=s)
         for s in subs
     )
-    n = len(nodes)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(subs):
-        for j, b in enumerate(subs):
-            leq[i, j] = a.member_set <= b.member_set
+    member = np.zeros((len(subs), L.n), dtype=bool)
+    for i, s in enumerate(subs):
+        member[i, list(s.carrier)] = True
+    leq = ~(member @ ~member.T)  # i <= j when no member of i lies outside j
     leq.setflags(write=False)
     return SubalgebraPoset(kind="lattice", host=L, hypergraph=None, mode=mode,
                            nodes=nodes, leq=leq)
@@ -148,14 +167,12 @@ def _hypergraph_poset(h: ContextHypergraph) -> SubalgebraPoset:
             overlap_at[(i, j)] = len(nodes)
             labels = tuple(h.vertices[v] for v in shared) + (REST_LABEL,)
             nodes.append(PosetNode(label=f"C{i}^C{j}", kind="overlap",
-                                   atom_labels=labels,
-                                   vertex_set=frozenset(shared), has_rest=True))
+                                   atom_labels=labels, has_rest=True))
     context_at = {}
     for i, ctx in enumerate(h.contexts):
         context_at[i] = len(nodes)
         nodes.append(PosetNode(label=f"C{i}", kind="context",
-                               atom_labels=tuple(h.vertices[v] for v in ctx),
-                               vertex_set=frozenset(ctx)))
+                               atom_labels=tuple(h.vertices[v] for v in ctx)))
     n = len(nodes)
     leq = np.eye(n, dtype=bool)
     leq[0, :] = True
@@ -172,7 +189,8 @@ def build_poset(obj, mode: str = "all", cap: int | None = None) -> SubalgebraPos
     if mode not in ("all", "blocks"):
         raise ValueError(f"unknown poset mode {mode!r}")
     if isinstance(obj, FiniteOML):
-        return _lattice_poset(obj, mode, cap or DEFAULT_SUBALGEBRA_CAP)
+        return _lattice_poset(obj, mode,
+                              DEFAULT_SUBALGEBRA_CAP if cap is None else cap)
     if isinstance(obj, ContextHypergraph):
         if mode != "blocks":
             raise ValueError("a context hypergraph only supports blocks mode; "
@@ -237,10 +255,7 @@ def principal_section(P: SubalgebraPoset, w: int, f) -> Section:
 
     ``f`` is a TwoValuedHom (lattice mode) or a true-atom label.
     """
-    if isinstance(f, TwoValuedHom):
-        atom_label = P.host.names[f.true_atom]
-    else:
-        atom_label = str(f)
+    atom_label = P.host.names[f.true_atom] if isinstance(f, TwoValuedHom) else str(f)
     if atom_label not in P.nodes[w].atom_labels:
         raise ValueError(f"{atom_label!r} is not an atom of node {P.nodes[w].label}")
     domain = P.down(w)
@@ -264,26 +279,27 @@ def check_section(s: Section) -> SectionReport:
                     "domain", (P.nodes[w].label, P.nodes[child].label),
                     f"domain holds {P.nodes[w].label} but not the smaller "
                     f"{P.nodes[child].label}"))
-    for pos, w in enumerate(s.domain):
-        if s.choice[pos] not in P.nodes[w].atom_labels:
+    ordinal = {}  # node -> atom ordinal of its valid choice
+    for w, label in zip(s.domain, s.choice):
+        if label in P.nodes[w].atom_labels:
+            ordinal[w] = P.nodes[w].atom_labels.index(label)
+        else:
             violations.append(SectionViolation(
-                "choice", (P.nodes[w].label, s.choice[pos]),
-                f"{s.choice[pos]!r} names no atom of {P.nodes[w].label}"))
-    bad_choice = {w for pos, w in enumerate(s.domain)
-                  if s.choice[pos] not in P.nodes[w].atom_labels}
-    for pos, w in enumerate(s.domain):
-        if w in bad_choice:
+                "choice", (P.nodes[w].label, label),
+                f"{label!r} names no atom of {P.nodes[w].label}"))
+    for w in s.domain:
+        if w not in ordinal:
             continue
         for child in P.down(w):
-            if child == w or child not in in_domain or child in bad_choice:
+            if child == w or child not in ordinal:
                 continue
-            expected = P.restrict_label(w, s.choice[pos], child)
-            actual = s.choice[s.domain.index(child)]
-            if expected != actual:
+            got = P.restriction(w, child)[ordinal[w]]
+            if got != ordinal[child]:
+                labels = P.nodes[child].atom_labels
                 violations.append(SectionViolation(
                     "continuity", (P.nodes[child].label, P.nodes[w].label),
-                    f"restriction of {P.nodes[w].label} gives {expected!r} "
-                    f"but the section holds {actual!r} at {P.nodes[child].label}"))
+                    f"restriction of {P.nodes[w].label} gives {labels[got]!r} "
+                    f"but the section holds {labels[ordinal[child]]!r} at {P.nodes[child].label}"))
     return SectionReport(ok=not violations, violations=tuple(violations))
 
 
@@ -297,9 +313,8 @@ def section_eval(s: Section, a) -> int | None:
     P = s.poset
     if P.kind == "lattice":
         idx = P.host.index(a) if isinstance(a, str) else int(a)
-        for pos, w in enumerate(s.domain):
-            node = P.nodes[w]
-            if idx in node.subalg:
+        for w in s.domain:
+            if idx in P.nodes[w].subalg:
                 return s.hom_at(w).value(idx)
         return None
     name = str(a)
@@ -345,36 +360,27 @@ def render_answer(result: SolveResult) -> str:
 # -- solver -----------------------------------------------------------------
 
 def _compatibility(P: SubalgebraPoset, tops: tuple[int, ...]):
-    """Per-pair boolean tables saying which hom choices agree on overlap."""
+    """Per-pair boolean tables saying which hom choices agree on overlap.
+
+    Two homs agree when they restrict to the same atom of the meet of
+    their nodes: the common lower node with the most nodes below it.  A
+    pair whose meet has one atom constrains nothing and gets no table.
+    """
+    top_ordinal = {w: k for k, w in enumerate(tops)}
+    size = P.leq.sum(axis=0)
+    meet = {}
+    for m, node in enumerate(P.nodes):
+        if len(node.atom_labels) < 2:
+            continue
+        above = [top_ordinal[w] for w in np.flatnonzero(P.leq[m]).tolist() if w in top_ordinal]
+        for pair in combinations(above, 2):
+            if pair not in meet or size[m] > size[meet[pair]]:
+                meet[pair] = m
     tables = {}
-    for ii, wi in enumerate(tops):
-        for jj in range(ii + 1, len(tops)):
-            wj = tops[jj]
-            ni, nj = P.nodes[wi], P.nodes[wj]
-            if P.kind == "lattice":
-                shared = sorted(set(ni.subalg.carrier) & set(nj.subalg.carrier))
-                host = P.host
-                if all(x in (host.zero, host.one) for x in shared):
-                    continue
-                table = np.zeros((len(ni.atom_labels), len(nj.atom_labels)), dtype=bool)
-                for ai, a_lab in enumerate(ni.atom_labels):
-                    alpha = host.index(a_lab)
-                    for bi, b_lab in enumerate(nj.atom_labels):
-                        beta = host.index(b_lab)
-                        table[ai, bi] = all(
-                            bool(host.leq[alpha, x]) == bool(host.leq[beta, x])
-                            for x in shared)
-            else:
-                shared = ni.vertex_set & nj.vertex_set
-                if not shared:
-                    continue
-                names = {P.hypergraph.vertices[v] for v in shared}
-                table = np.zeros((len(ni.atom_labels), len(nj.atom_labels)), dtype=bool)
-                for ai, a_lab in enumerate(ni.atom_labels):
-                    for bi, b_lab in enumerate(nj.atom_labels):
-                        table[ai, bi] = all(
-                            (a_lab == v) == (b_lab == v) for v in names)
-            tables[(ii, jj)] = table
+    for (ii, jj), m in sorted(meet.items()):
+        ri = np.array(P.restriction(tops[ii], m))
+        rj = np.array(P.restriction(tops[jj], m))
+        tables[(ii, jj)] = ri[:, None] == rj[None, :]
     return tables
 
 
@@ -471,14 +477,7 @@ def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             branch_solutions = list(pool.map(_run_pinned, payloads))
-        solutions = []
-        for sols in branch_solutions:
-            solutions.extend(sols)
-            if not enumerate_all and solutions:
-                solutions = solutions[:1]
-                break
-        if enumerate_all:
-            solutions = solutions[:limit]
+        solutions = [sol for sols in branch_solutions for sol in sols][:limit]
     else:
         solutions = _backtrack(sizes, tables, order, limit)
 
@@ -489,7 +488,11 @@ def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
         certificate = _greedy_certificate(P, tops, sizes, tables)
         return SolveResult(sat=False, sections=(), certificate=certificate,
                            enumerated=enumerate_all)
-    sections = tuple(_family_to_section(P, tops, sol) for sol in solutions)
+    # every node is extended from its owner, the first top above it
+    first = P.leq[:, list(tops)].argmax(axis=1).tolist()
+    owners = [(k, P.restriction(tops[k], node), P.nodes[node].atom_labels)
+              for node, k in enumerate(first)]
+    sections = tuple(_family_to_section(P, owners, sol) for sol in solutions)
     return SolveResult(sat=True, sections=sections, certificate=None,
                        enumerated=enumerate_all)
 
@@ -499,21 +502,14 @@ def _run_pinned(payload):
     return _backtrack(sizes, tables, order, limit, pin=(pinned_block, pinned_value))
 
 
-def _family_to_section(P: SubalgebraPoset, tops, sol) -> Section:
+def _family_to_section(P: SubalgebraPoset, owners, sol) -> Section:
     """Extend a compatible family on the maximal nodes to every node."""
-    owner = {}
-    for pos, w in enumerate(tops):
-        for child in P.down(w):
-            owner.setdefault(child, (w, pos))
-    domain = tuple(range(P.n))
-    choice = []
-    for node in range(P.n):
-        w, pos = owner[node]
-        label = P.nodes[w].atom_labels[sol[pos]]
-        choice.append(P.restrict_label(w, label, node))
-    s = Section(poset=P, domain=domain, choice=tuple(choice))
+    s = Section(poset=P, domain=tuple(range(P.n)),
+                choice=tuple(labels[row[sol[k]]] for k, row, labels in owners))
     report = check_section(s)
-    assert report.ok, report.violations
+    if not report.ok:
+        v = report.violations[0]
+        raise IncompatibleGlobalSection(v.law, v.witness, v.message)
     return s
 
 

@@ -94,12 +94,10 @@ def hypergraph_from_rays(dim: int, rays) -> ContextHypergraph:
         if r.coords not in seen:
             seen.add(r.coords)
             unique.append(r)
-    n = len(unique)
-    ortho = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if unique[i].dot(unique[j]) == 0:
-                ortho[i, j] = ortho[j, i] = True
+    # object dtype keeps Python integers, so the dot products are exact
+    coords = np.array([r.coords for r in unique], dtype=object).reshape(len(unique), dim)
+    ortho = np.asarray(coords @ coords.T == 0, dtype=bool)
+    np.fill_diagonal(ortho, False)
     cliques = maximal_cliques(ortho)
     contexts = tuple(c for c in cliques if len(c) == dim)
     ortho.setflags(write=False)

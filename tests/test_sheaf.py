@@ -1,12 +1,19 @@
 """Base posets, sections, restriction, and the global-section solver."""
 
+import time
+
+import numpy as np
 import pytest
 
-from omlkit import (CapExceeded, Section, build_poset, check_section,
-                    enumerate_blocks, homs_to_2, principal_poset,
+from omlkit import (CapExceeded, IncompatibleGlobalSection, Section, build_poset,
+                    check_section, enumerate_blocks, homs_to_2, principal_poset,
                     principal_section, render_answer, section_eval,
                     solve_global, subalgebra)
-from omlkit.corpus import CORPUS, cabello18, mo
+from omlkit.corpus import CORPUS, boolean, cabello18, mo
+from omlkit.sheaf import _compatibility, _family_to_section
+
+from oracles import lattice_valuation_count_oracle
+from test_core import loop3
 
 # solver counts frozen from the independent valuation oracles
 GLOBAL_SECTIONS = {
@@ -22,6 +29,14 @@ GLOBAL_SECTIONS = {
     "b2xmo2": 6,
     "mo2xmo2": 8,
 }
+
+
+def sample_posets():
+    """The corpus in both modes, loop3(5..8) in both modes and cabello18."""
+    lattices = [make() for name, make in CORPUS.items() if name != "cabello"]
+    lattices += [loop3(k) for k in range(5, 9)]
+    return ([build_poset(L, mode) for L in lattices for mode in ("all", "blocks")]
+            + [build_poset(cabello18(), mode="blocks")])
 
 
 def test_poset_all_mode_mo2():
@@ -49,6 +64,20 @@ def test_poset_modes_and_errors():
         build_poset(cabello18(), mode="all")
     with pytest.raises(TypeError):
         build_poset("not a lattice")
+    with pytest.raises(CapExceeded):
+        build_poset(mo(2), mode="all", cap=0)
+
+
+def test_poset_order_is_carrier_inclusion():
+    posets = [principal_poset(enumerate_blocks(boolean(7))[0])]
+    posets += [build_poset(make(), mode="all") for name, make in CORPUS.items()
+               if name != "cabello"]
+    for P in posets:
+        want = [[a.subalg.member_set <= b.subalg.member_set for b in P.nodes]
+                for a in P.nodes]
+        assert P.leq.dtype == bool and not P.leq.flags.writeable
+        assert (P.leq == np.array(want)).all()
+    assert posets[0].n == 877 and int(posets[0].leq.sum()) == 19302
 
 
 def test_hypergraph_poset_shape():
@@ -73,6 +102,50 @@ def test_restrict_label_lattice():
     assert P.restrict_label(parent, "a", child) == "~c"
     assert P.restrict_label(parent, "c", child) == "c"
     assert P.restrict_label(parent, "a", parent) == "a"
+    with pytest.raises(ValueError, match=r"\{a,b,c\} is not below node \{c,~c\}"):
+        P.restrict_label(child, "c", parent)
+
+
+def test_restriction_maps_agree_with_hom_restriction():
+    for P in sample_posets():
+        for parent, pnode in enumerate(P.nodes):
+            for child in P.down(parent):
+                cnode, row = P.nodes[child], P.restriction(parent, child)
+                assert len(row) == len(pnode.atom_labels)
+                if P.kind == "lattice":
+                    assert row == tuple(cnode.subalg.atoms.index(
+                        f.restrict(cnode.subalg).true_atom) for f in homs_to_2(pnode.subalg))
+                else:
+                    # a vertex both nodes hold stays; the others lump into "rest" or "1"
+                    labels = cnode.atom_labels
+                    assert [labels[k] for k in row] == [
+                        a if a in labels else labels[-1] for a in pnode.atom_labels]
+                for grandchild in P.down(child):  # restriction composes
+                    below = P.restriction(child, grandchild)
+                    assert P.restriction(parent, grandchild) == tuple(below[k] for k in row)
+
+
+def test_compatibility_tables_match_brute_force():
+    for P in sample_posets():
+        tops = P.maximal_nodes()
+        tables = _compatibility(P, tops)
+        for ii in range(len(tops)):
+            for jj in range(ii + 1, len(tops)):
+                ni, nj = P.nodes[tops[ii]], P.nodes[tops[jj]]
+                if P.kind == "lattice":
+                    host = P.host
+                    shared = (ni.subalg.member_set & nj.subalg.member_set) - {host.zero, host.one}
+                    want = [[all(host.leq[a, x] == host.leq[b, x] for x in shared)
+                             for b in nj.subalg.atoms] for a in ni.subalg.atoms]
+                else:
+                    shared = set(ni.atom_labels) & set(nj.atom_labels)
+                    want = [[all((a == v) == (b == v) for v in shared)
+                             for b in nj.atom_labels] for a in ni.atom_labels]
+                if not shared:
+                    assert (ii, jj) not in tables
+                else:
+                    assert tables[(ii, jj)].dtype == bool
+                    assert (tables[(ii, jj)] == np.array(want)).all()
 
 
 def test_principal_section_and_eval():
@@ -128,13 +201,17 @@ def test_check_section_violation_kinds():
 
 
 def test_solver_counts_match_frozen_table():
-    for name, make in CORPUS.items():
+    generated = {**{f"loop3_{k}": (lambda k=k: loop3(k)) for k in range(5, 9)},
+                 **{f"mo{k}": (lambda k=k: mo(k)) for k in range(5, 9)}}
+    for name, make in {**CORPUS, **generated}.items():
         if name == "cabello":
             continue
-        P = build_poset(make(), mode="all")
+        L = make()
+        P = build_poset(L, mode="all")
         result = solve_global(P, enumerate_all=True)
         assert result.sat and result.enumerated
-        assert len(result.sections) == GLOBAL_SECTIONS[name], name
+        want = GLOBAL_SECTIONS.get(name) or lattice_valuation_count_oracle(L)
+        assert len(result.sections) == want, name
         keys = [s.key() for s in result.sections]
         assert len(set(keys)) == len(keys)
         again = solve_global(P, enumerate_all=True)
@@ -142,6 +219,27 @@ def test_solver_counts_match_frozen_table():
         for s in result.sections:
             assert s.domain == tuple(range(P.n))
             assert check_section(s).ok
+
+
+def test_enumerate_mo14_is_fast():
+    start = time.perf_counter()
+    result = solve_global(build_poset(mo(14), mode="blocks"), enumerate_all=True)
+    assert time.perf_counter() - start < 2.0
+    assert len(result.sections) == 2 ** 14
+
+
+def test_section_extension_checks_itself():
+    P = build_poset(CORPUS["bowtie"](), mode="all")
+    s = solve_global(P).sections[0]
+    # owners that rebuild s from a one-atom family, then one wrong at {c,~c}
+    owners = [(0, (node.atom_labels.index(s.choice_at(w)),), node.atom_labels)
+              for w, node in enumerate(P.nodes)]
+    assert _family_to_section(P, owners, (0,)).choice == s.choice
+    c = P.node_index("{c,~c}")
+    owners[c] = (0, (1 - owners[c][1][0],), owners[c][2])
+    with pytest.raises(IncompatibleGlobalSection) as e:
+        _family_to_section(P, owners, (0,))
+    assert e.value.law == "continuity"
 
 
 def test_blocks_mode_counts_agree_with_all_mode():

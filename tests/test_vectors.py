@@ -61,8 +61,13 @@ def test_orthogonality_is_exact():
     assert h.orthogonal[i["1,3,0"], i["3,-1,0"]]
     # dot product is exactly 1; a float build would round it to orthogonal
     assert not h.orthogonal[i[f"{big},1,0"], i[f"1,{-(big - 1)},0"]]
-    assert not h.orthogonal.diagonal().any()
-    assert (h.orthogonal == h.orthogonal.T).all()
+    for h in (h, cabello18()):
+        assert h.orthogonal.dtype == bool and not h.orthogonal.flags.writeable
+        assert not h.orthogonal.diagonal().any()
+        assert (h.orthogonal == h.orthogonal.T).all()
+        assert h.orthogonal.tolist() == [[i != j and u.dot(v) == 0
+                                          for j, v in enumerate(h.vectors)]
+                                         for i, u in enumerate(h.vectors)]
 
 
 def test_cabello_hypergraph_shape():
