@@ -64,6 +64,7 @@ class SubalgebraPoset:
     leq: np.ndarray  # bool, node inclusion
     _down: dict = field(default_factory=dict, init=False, repr=False)
     _maps: dict = field(default_factory=dict, init=False, repr=False)
+    _below: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -106,6 +107,14 @@ class SubalgebraPoset:
                 self._maps[key] = tuple(labels.index(a) if a in labels else last
                                         for a in pnode.atom_labels)
         return self._maps[key]
+
+    def inclusions(self, i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(child, restriction map) for every node strictly below node i,
+        in node order."""
+        if i not in self._below:
+            self._below[i] = tuple((child, self.restriction(i, child))
+                                   for child in self.down(i) if child != i)
+        return self._below[i]
 
     def restrict_label(self, parent: int, atom_label: str, child: int) -> str:
         """Push a hom (named by its true atom) down an inclusion."""
@@ -272,33 +281,30 @@ def check_section(s: Section) -> SectionReport:
         violations.append(SectionViolation(
             "domain", tuple(s.domain), "domain must be sorted and duplicate-free"))
         return SectionReport(ok=False, violations=tuple(violations))
-    for w in s.domain:
-        for child in P.down(w):
-            if child not in in_domain:
-                violations.append(SectionViolation(
-                    "domain", (P.nodes[w].label, P.nodes[child].label),
-                    f"domain holds {P.nodes[w].label} but not the smaller "
-                    f"{P.nodes[child].label}"))
-    ordinal = {}  # node -> atom ordinal of its valid choice
+    if s.domain != tuple(range(P.n)):  # a domain of every node is downward closed
+        for w in s.domain:
+            for child in P.down(w):
+                if child not in in_domain:
+                    violations.append(SectionViolation(
+                        "domain", (P.nodes[w].label, P.nodes[child].label),
+                        f"domain holds {P.nodes[w].label} but not the smaller "
+                        f"{P.nodes[child].label}"))
+    ordinal = {}  # node -> atom ordinal of its valid choice, in domain order
     for w, label in zip(s.domain, s.choice):
-        if label in P.nodes[w].atom_labels:
-            ordinal[w] = P.nodes[w].atom_labels.index(label)
+        labels = P.nodes[w].atom_labels
+        if label in labels:
+            ordinal[w] = labels.index(label)
         else:
             violations.append(SectionViolation(
                 "choice", (P.nodes[w].label, label),
                 f"{label!r} names no atom of {P.nodes[w].label}"))
-    for w in s.domain:
-        if w not in ordinal:
-            continue
-        for child in P.down(w):
-            if child == w or child not in ordinal:
-                continue
-            got = P.restriction(w, child)[ordinal[w]]
-            if got != ordinal[child]:
+    for w, k in ordinal.items():
+        for child, row in P.inclusions(w):
+            if child in ordinal and row[k] != ordinal[child]:
                 labels = P.nodes[child].atom_labels
                 violations.append(SectionViolation(
                     "continuity", (P.nodes[child].label, P.nodes[w].label),
-                    f"restriction of {P.nodes[w].label} gives {labels[got]!r} "
+                    f"restriction of {P.nodes[w].label} gives {labels[row[k]]!r} "
                     f"but the section holds {labels[ordinal[child]]!r} at {P.nodes[child].label}"))
     return SectionReport(ok=not violations, violations=tuple(violations))
 
@@ -359,12 +365,23 @@ def render_answer(result: SolveResult) -> str:
 
 # -- solver -----------------------------------------------------------------
 
-def _compatibility(P: SubalgebraPoset, tops: tuple[int, ...]):
-    """Per-pair boolean tables saying which hom choices agree on overlap.
+class _Pair(NamedTuple):
+    """The constraint between two tops i < j, as bitmasks over atom ordinals:
+    ``fwd[a]`` holds the values of j that agree with value a of i, ``bwd[b]``
+    the values of i that agree with value b of j, and ``weight`` counts the
+    value pairs that disagree."""
+
+    fwd: tuple[int, ...]
+    bwd: tuple[int, ...]
+    weight: int
+
+
+def _compatibility(P: SubalgebraPoset, tops: tuple[int, ...]) -> dict[tuple[int, int], _Pair]:
+    """Per-pair bitmask rows saying which hom choices agree on overlap.
 
     Two homs agree when they restrict to the same atom of the meet of
     their nodes: the common lower node with the most nodes below it.  A
-    pair whose meet has one atom constrains nothing and gets no table.
+    pair whose meet has one atom constrains nothing and gets no entry.
     """
     top_ordinal = {w: k for k, w in enumerate(tops)}
     size = P.leq.sum(axis=0)
@@ -378,76 +395,95 @@ def _compatibility(P: SubalgebraPoset, tops: tuple[int, ...]):
                 meet[pair] = m
     tables = {}
     for (ii, jj), m in sorted(meet.items()):
-        ri = np.array(P.restriction(tops[ii], m))
-        rj = np.array(P.restriction(tops[jj], m))
-        tables[(ii, jj)] = ri[:, None] == rj[None, :]
+        ri = P.restriction(tops[ii], m)
+        rj = P.restriction(tops[jj], m)
+        to_i, to_j = _preimages(ri), _preimages(rj)
+        fwd = tuple(to_j.get(x, 0) for x in ri)
+        bwd = tuple(to_i.get(y, 0) for y in rj)
+        weight = len(ri) * len(rj) - sum(row.bit_count() for row in fwd)
+        tables[(ii, jj)] = _Pair(fwd, bwd, weight)
     return tables
+
+
+def _preimages(row) -> dict[int, int]:
+    """For each atom ``row`` reaches, the bitmask of the ordinals sent there."""
+    masks = {}
+    for k, atom in enumerate(row):
+        masks[atom] = masks.get(atom, 0) | 1 << k
+    return masks
 
 
 def _order_blocks(count: int, tables) -> list[int]:
     """Assignment order: most-constrained first, index as tie-break."""
     degree = [0] * count
-    for (i, j), table in tables.items():
-        weight = int(table.size - table.sum())
-        degree[i] += weight
-        degree[j] += weight
+    for (i, j), pair in tables.items():
+        degree[i] += pair.weight
+        degree[j] += pair.weight
     return sorted(range(count), key=lambda i: (-degree[i], i))
 
 
 def _backtrack(sizes, tables, order, limit, pin=None):
     """Enumerate up to ``limit`` compatible choice tuples, depth-first.
 
-    Candidate lists shrink by forward propagation; choices are explored
-    in ascending ordinal order, so the output order is deterministic.
-    ``pin`` optionally fixes one block to one value before the search.
+    Each block's candidates are an int bitmask over its atom ordinals.
+    Assigning a block masks the candidates of its neighbours later in
+    ``order`` (forward checking) and gives up on the value when one of them
+    runs empty, so the candidates left to a block always agree with every
+    assigned neighbour.  Values are tried in ascending ordinal order, so
+    the output order is deterministic.  ``pin`` optionally fixes one block
+    to one value before the search.
+
+    Returns the solutions and a bitmask of the blocks the search assigned
+    or emptied.  When there is no solution those blocks are an UNSAT core:
+    no other block ever changed the search's course, so any family
+    compatible on the core would have walked a branch to the bottom.
     """
     count = len(sizes)
-    neighbours = {i: [] for i in range(count)}
-    for (i, j), table in tables.items():
-        neighbours[i].append((j, table, False))
-        neighbours[j].append((i, table, True))
-    domains = [list(range(k)) for k in sizes]
+    rank = {i: depth for depth, i in enumerate(order)}
+    later = [[] for _ in range(count)]  # (neighbour, its rows) further down the order
+    for (i, j), pair in tables.items():
+        if rank[i] < rank[j]:
+            later[i].append((j, pair.fwd))
+        else:
+            later[j].append((i, pair.bwd))
+    domains = [(1 << k) - 1 for k in sizes]
     if pin is not None:
-        domains[pin[0]] = [pin[1]]
+        domains[pin[0]] = 1 << pin[1]
     assignment = [None] * count
     solutions = []
+    core = 0
 
     def walk(depth):
-        if len(solutions) >= limit:
-            return
+        nonlocal core
         if depth == count:
             solutions.append(tuple(assignment))
             return
         i = order[depth]
-        for value in list(domains[i]):
+        core |= 1 << i
+        rest, neighbours = domains[i], later[i]
+        while rest and len(solutions) < limit:
+            low = rest & -rest
+            rest ^= low
+            value = low.bit_length() - 1
             assignment[i] = value
-            saved = {}
-            dead = False
-            for j, table, flipped in neighbours[i]:
-                if assignment[j] is not None:
-                    ok = table[assignment[j], value] if flipped else table[value, assignment[j]]
-                    if not ok:
-                        dead = True
+            saved = []
+            for j, rows in neighbours:
+                old = domains[j]
+                new = old & rows[value]
+                if new != old:
+                    saved.append((j, old))
+                    domains[j] = new
+                    if not new:
+                        core |= 1 << j
                         break
-                    continue
-                keep = [v for v in domains[j]
-                        if (table[v, value] if flipped else table[value, v])]
-                if len(keep) != len(domains[j]):
-                    saved[j] = domains[j]
-                    domains[j] = keep
-                if not keep:
-                    dead = True
-                    break
-            if not dead:
+            else:
                 walk(depth + 1)
-            for j, old in saved.items():
+            for j, old in saved:
                 domains[j] = old
-            assignment[i] = None
-            if len(solutions) >= limit:
-                return
+        assignment[i] = None
 
     walk(0)
-    return solutions
+    return solutions, core
 
 
 def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
@@ -476,16 +512,19 @@ def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
             for v in range(sizes[first_block])
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            branch_solutions = list(pool.map(_run_pinned, payloads))
-        solutions = [sol for sols in branch_solutions for sol in sols][:limit]
+            branches = list(pool.map(_run_pinned, payloads))
+        solutions = [sol for sols, _ in branches for sol in sols][:limit]
+        core = 0  # every branch assigned the pinned block, so the union is a core
+        for _, branch_core in branches:
+            core |= branch_core
     else:
-        solutions = _backtrack(sizes, tables, order, limit)
+        solutions, core = _backtrack(sizes, tables, order, limit)
 
     if enumerate_all and len(solutions) > solution_cap:
         raise CapExceeded(len(solutions), solution_cap, "global sections")
 
     if not solutions:
-        certificate = _greedy_certificate(P, tops, sizes, tables)
+        certificate = _greedy_certificate(P, tops, sizes, tables, core)
         return SolveResult(sat=False, sections=(), certificate=certificate,
                            enumerated=enumerate_all)
     # every node is extended from its owner, the first top above it
@@ -513,22 +552,36 @@ def _family_to_section(P: SubalgebraPoset, owners, sol) -> Section:
     return s
 
 
-def _greedy_certificate(P, tops, sizes, tables) -> tuple[str, ...]:
-    """Shrink the UNSAT core by deletion in canonical order."""
-    keep = list(range(len(tops)))
+def _greedy_certificate(P, tops, sizes, tables, core) -> tuple[str, ...]:
+    """Shrink the UNSAT set of tops by deletion in canonical order.
 
-    def unsat(subset):
+    Each top in turn is dropped when the tops left without it are still
+    UNSAT, so the result is irreducible: dropping any one of its tops
+    makes it SAT.  ``core`` is a bitmask of tops that are UNSAT on their
+    own, the blocks the last failed search assigned or emptied.  A trial
+    that keeps the whole core is UNSAT without a search, so only dropping
+    a core block costs a re-solve, and the certificate is exactly the one
+    that plain deletion gives.
+    """
+
+    def failed_core(subset):
+        """The core of a failed search over ``subset``; None when SAT."""
         idx = {b: k for k, b in enumerate(subset)}
-        sub_sizes = [sizes[b] for b in subset]
-        sub_tables = {}
-        for (i, j), table in tables.items():
-            if i in idx and j in idx:
-                sub_tables[(idx[i], idx[j])] = table
-        sub_order = _order_blocks(len(subset), sub_tables)
-        return not _backtrack(sub_sizes, sub_tables, sub_order, 1)
+        sub_tables = {(idx[i], idx[j]): pair for (i, j), pair in tables.items()
+                      if i in idx and j in idx}
+        found, sub_core = _backtrack([sizes[b] for b in subset], sub_tables,
+                                     _order_blocks(len(subset), sub_tables), 1)
+        return None if found else sum(1 << b for k, b in enumerate(subset) if sub_core >> k & 1)
 
-    for b in list(keep):
+    keep = list(range(len(tops)))
+    for b in range(len(tops)):
         trial = [x for x in keep if x != b]
-        if trial and unsat(trial):
-            keep = trial
+        if not trial:
+            continue
+        if core >> b & 1:
+            trial_core = failed_core(trial)
+            if trial_core is None:
+                continue
+            core = trial_core
+        keep = trial
     return tuple(P.nodes[tops[b]].label for b in keep)

@@ -142,3 +142,31 @@ def paste_size_oracle(d):
     occurrences = Counter(a for b in d.blocks for a in b)
     total -= 2 * sum(c - 1 for c in occurrences.values())
     return total
+
+
+def exact_one_sat_oracle(contexts):
+    """Is there a vertex set meeting every context in exactly one vertex?
+
+    Depth-first over bitmasks: take the open context with the fewest
+    live vertices and make each of those true in turn, which closes the
+    contexts through it and kills every other vertex in them.
+    """
+    bit = {}
+    masks = [sum(1 << bit.setdefault(v, len(bit)) for v in set(c)) for c in contexts]
+
+    def dfs(open_, dead):
+        if not open_:
+            return True
+        live = min((m & ~dead for m in open_), key=int.bit_count)
+        while live:
+            v = live & -live
+            live ^= v
+            kill = 0
+            for m in open_:
+                if m & v:
+                    kill |= m
+            if dfs([m for m in open_ if not m & v], dead | kill ^ v):
+                return True
+        return False
+
+    return dfs(masks, 0)

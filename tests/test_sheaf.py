@@ -1,18 +1,22 @@
 """Base posets, sections, restriction, and the global-section solver."""
 
+import random
 import time
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from omlkit import (CapExceeded, IncompatibleGlobalSection, Section, build_poset,
-                    check_section, enumerate_blocks, homs_to_2, principal_poset,
-                    principal_section, render_answer, section_eval,
-                    solve_global, subalgebra)
+                    canonical_ray, check_section, enumerate_blocks, homs_to_2,
+                    hypergraph_from_rays, principal_poset, principal_section,
+                    render_answer, section_eval, sheaf, solve_global, subalgebra)
 from omlkit.corpus import CORPUS, boolean, cabello18, mo
 from omlkit.sheaf import _compatibility, _family_to_section
 
-from oracles import lattice_valuation_count_oracle
+from oracles import (exact_one_sat_oracle, hypergraph_valuation_count_oracle,
+                     lattice_valuation_count_oracle)
 from test_core import loop3
 
 # solver counts frozen from the independent valuation oracles
@@ -37,6 +41,26 @@ def sample_posets():
     lattices += [loop3(k) for k in range(5, 9)]
     return ([build_poset(L, mode) for L in lattices for mode in ("all", "blocks")]
             + [build_poset(cabello18(), mode="blocks")])
+
+
+def rays01(d):
+    """The rays of {0,+1,-1}^d, one per sign class, first nonzero entry +1."""
+    return [v for v in product((0, 1, -1), repeat=d) if next((x for x in v if x), 0) == 1]
+
+
+def permuted(rays, seed):
+    """One seeded coordinate permutation and sign flip of every ray, then
+    the rays shuffled; orthogonality is preserved."""
+    rng = random.Random(seed)
+    perm = rng.sample(range(len(rays[0])), len(rays[0]))
+    signs = [rng.choice((1, -1)) for _ in perm]
+    out = [tuple(sign * r[c] for sign, c in zip(signs, perm)) for r in rays]
+    rng.shuffle(out)
+    return out
+
+
+def ray_hypergraph(rays):
+    return hypergraph_from_rays(len(rays[0]), [canonical_ray(r) for r in rays])
 
 
 def test_poset_all_mode_mo2():
@@ -143,9 +167,16 @@ def test_compatibility_tables_match_brute_force():
                              for b in nj.atom_labels] for a in ni.atom_labels]
                 if not shared:
                     assert (ii, jj) not in tables
-                else:
-                    assert tables[(ii, jj)].dtype == bool
-                    assert (tables[(ii, jj)] == np.array(want)).all()
+                    continue
+                pair, si, sj = tables[(ii, jj)], len(ni.atom_labels), len(nj.atom_labels)
+                assert len(pair.fwd) == si and len(pair.bwd) == sj
+                assert all(row >> sj == 0 for row in pair.fwd)
+                assert all(row >> si == 0 for row in pair.bwd)
+                assert [[bool(pair.fwd[a] >> b & 1) for b in range(sj)]
+                        for a in range(si)] == want
+                assert [[bool(pair.bwd[b] >> a & 1) for a in range(si)]
+                        for b in range(sj)] == [list(col) for col in zip(*want)]
+                assert pair.weight == sum(not ok for row in want for ok in row)
 
 
 def test_principal_section_and_eval():
@@ -274,9 +305,66 @@ def test_workers_do_not_change_output():
         one = solve_global(P, enumerate_all=True, workers=1)
         two = solve_global(P, enumerate_all=True, workers=2)
         assert render_answer(one) == render_answer(two)
-    H = build_poset(cabello18(), mode="blocks")
-    assert (render_answer(solve_global(H, workers=1))
-            == render_answer(solve_global(H, workers=2)))
+    for h in (cabello18(), ray_hypergraph(rays01(4))):
+        H = build_poset(h, mode="blocks")
+        one = solve_global(H, workers=1)
+        assert not one.sat
+        assert render_answer(one) == render_answer(solve_global(H, workers=2))
+
+
+def test_exact_one_oracle_agrees_with_brute_force():
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.randint(3, 9)
+        contexts = [tuple(rng.sample(range(n), rng.randint(2, 3)))
+                    for _ in range(rng.randint(1, 6))]
+        h = SimpleNamespace(vertices=tuple(range(n)), contexts=contexts)
+        assert exact_one_sat_oracle(contexts) == (hypergraph_valuation_count_oracle(h) > 0)
+    assert not exact_one_sat_oracle(cabello18().contexts)
+    assert exact_one_sat_oracle(ray_hypergraph(rays01(3)).contexts)
+
+
+def test_certificate_is_plain_deletion_and_irreducible():
+    r5 = rays01(5)
+    hypergraphs = {
+        "cabello18": cabello18(),
+        "rays01(4)#1": ray_hypergraph(permuted(rays01(4), 1)),
+        "rays01(4)#2": ray_hypergraph(permuted(rays01(4), 2)),
+        "rays01(5)-2:112": ray_hypergraph(random.Random(2).sample(r5, 112)),
+        "rays01(5)-5:112": ray_hypergraph(random.Random(5).sample(r5, 112)),
+    }
+    for name, h in hypergraphs.items():
+        result = solve_global(build_poset(h, mode="blocks"))
+        assert not result.sat, name
+        contexts = {f"C{i}": ctx for i, ctx in enumerate(h.contexts)}
+        keep = list(contexts)  # plain deletion in canonical order, by the oracle
+        for label in contexts:
+            trial = [x for x in keep if x != label]
+            if not exact_one_sat_oracle([contexts[x] for x in trial]):
+                keep = trial
+        assert result.certificate == tuple(keep), name
+        for label in keep:  # dropping any one context makes it SAT
+            assert exact_one_sat_oracle([contexts[x] for x in keep if x != label]), name
+
+
+def test_certificate_re_solves_only_core_deletions(monkeypatch):
+    searches = []
+    backtrack = sheaf._backtrack
+    monkeypatch.setattr(sheaf, "_backtrack",
+                        lambda *args, **kw: searches.append(args) or backtrack(*args, **kw))
+    result = solve_global(build_poset(ray_hypergraph(rays01(4)), mode="blocks"))
+    assert len(result.certificate) == 11
+    # the first search, then a re-solve for 24 of the 32 deletions
+    assert len(searches) == 1 + 24
+
+
+def test_certificate_of_124_contexts_is_fast():
+    P = build_poset(ray_hypergraph(random.Random(4).sample(rays01(5), 118)), mode="blocks")
+    assert len(P.maximal_nodes()) == 124
+    start = time.perf_counter()
+    result = solve_global(P)
+    assert time.perf_counter() - start < 0.5
+    assert not result.sat and len(result.certificate) == 17
 
 
 def test_first_solution_mode():
