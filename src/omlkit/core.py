@@ -2,9 +2,10 @@
 
 Elements are the integers ``0..n-1``.  The order is a boolean matrix,
 the complement a permutation array, and meet/join are precomputed
-``n x n`` tables.  Everything is validated up front by ``verify_oml``
-and frozen afterwards, so the rest of the package can index tables
-without re-checking laws.
+``n x n`` tables.  Tables from outside are audited once, by
+``verify_oml``; ``product`` is correct by construction.  Either way the
+tables are frozen, so the rest of the package indexes them without
+re-checking laws.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ def element_cap() -> int:
 class FiniteOML:
     """A validated finite orthomodular lattice.
 
-    Instances compare by identity; they are only created through
-    ``verify_oml`` and are immutable (the arrays are read-only).
+    Instances compare by identity, come from ``verify_oml`` or
+    ``product``, and are immutable (the arrays are made read-only).
     """
 
     names: tuple[str, ...]
@@ -50,6 +51,10 @@ class FiniteOML:
     join: np.ndarray  # int, shape (n, n)
     zero: int
     one: int
+
+    def __post_init__(self):
+        for arr in (self.leq, self.neg, self.meet, self.join):
+            arr.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -199,8 +204,6 @@ def verify_oml(leq, neg, names=None, cap: int | None = None) -> FiniteOML:
             f"{names[a]} <= {names[b]} but "
             f"{names[b]} != {names[a]} v ({names[b]} ^ ~{names[a]})")
 
-    for arr in (leq, neg, meet, join):
-        arr.setflags(write=False)
     return FiniteOML(names=names, leq=leq, neg=neg, meet=meet, join=join, zero=zero, one=one)
 
 
@@ -287,26 +290,29 @@ def center(L: FiniteOML) -> tuple[int, ...]:
     subalgebra carrier containing 0 and 1; this is asserted rather than
     trusted.
     """
-    out = tuple(int(z) for z in np.flatnonzero(L.commute.all(axis=1)))
-    assert L.zero in out and L.one in out
-    got = set(out)
-    for x in out:
-        assert int(L.neg[x]) in got
-        for y in out:
-            assert int(L.meet[x, y]) in got and int(L.join[x, y]) in got
-    return out
+    central = L.commute.all(axis=1)
+    z = np.flatnonzero(central)
+    assert central[L.zero] and central[L.one] and central[L.neg[z]].all()
+    assert central[L.meet[np.ix_(z, z)]].all() and central[L.join[np.ix_(z, z)]].all()
+    return tuple(int(x) for x in z)
 
 
-def product(L1: FiniteOML, L2: FiniteOML, cap: int | None = None) -> FiniteOML:
-    """Componentwise product lattice; names are '(x,y)' pairs."""
-    if cap is None:
-        cap = element_cap()
-    n1, n2 = L1.n, L2.n
-    if n1 * n2 > cap:
-        raise SizeCap(n1 * n2, cap)
-    leq = np.kron(L1.leq.astype(np.uint8), L2.leq.astype(np.uint8)).astype(bool)
-    neg = (L1.neg[:, None] * n2 + L2.neg[None, :]).ravel()
-    names = tuple(
-        f"({L1.names[a]},{L2.names[b]})" for a in range(n1) for b in range(n2)
-    )
-    return verify_oml(leq, neg, names, cap=cap)
+def product(L1: FiniteOML, L2: FiniteOML) -> FiniteOML:
+    """Componentwise product lattice; names are '(x,y)' pairs.
+
+    ``(x, y)`` is index ``x * L2.n + y``; a product of orthomodular
+    lattices is orthomodular (Kalmbach 1983), so it is not re-audited.
+    """
+    n2 = L2.n
+    n, cap = L1.n * n2, element_cap()
+    if n > cap:
+        raise SizeCap(n, cap)
+
+    def pairwise(t1, t2):
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]).reshape(n, n)
+
+    names = tuple(f"({x},{y})" for x in L1.names for y in L2.names)
+    return FiniteOML(names=names, leq=np.kron(L1.leq, L2.leq),
+                     neg=(L1.neg[:, None] * n2 + L2.neg[None, :]).ravel(),
+                     meet=pairwise(L1.meet, L2.meet), join=pairwise(L1.join, L2.join),
+                     zero=L1.zero * n2 + L2.zero, one=L1.one * n2 + L2.one)

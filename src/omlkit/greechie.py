@@ -3,8 +3,9 @@
 A diagram is a list of blocks, each a set of at least two atoms; blocks
 are glued into one lattice by sharing 0, 1, common atoms and their
 complements.  Pasting is legal when no two blocks share two or more
-atoms and the block graph has no 3- or 4-cycles through distinct
-connection atoms; the pasted result is always re-validated.
+atoms, the block graph has no 3- or 4-cycles through distinct
+connection atoms, and no atom of one block is identified with a join
+of several atoms of another; the pasted result is always re-validated.
 
 File format (one block per nonempty line, ``#`` starts a comment):
 
@@ -121,8 +122,9 @@ def paste(d: GreechieDiagram, cap: int | None = None) -> FiniteOML:
     """Glue the blocks' Boolean algebras into one orthomodular lattice.
 
     Each block contributes the power set of its atoms; copies of 0, 1,
-    shared atoms and their in-block complements are identified.  The
-    result is rebuilt from scratch and passed through verify_oml.
+    shared atoms and their in-block complements are identified, and a
+    diagram that so makes an atom a join of other atoms is rejected.
+    The result is rebuilt from scratch and passed through verify_oml.
     """
     if cap is None:
         cap = element_cap()
@@ -163,6 +165,16 @@ def paste(d: GreechieDiagram, cap: int | None = None) -> FiniteOML:
     classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for x in locals_all:
         classes.setdefault(find(x), []).append(x)
+    for members in classes.values():  # an atom of one block = a join in another
+        clash = next(((i, bit, j, mask) for i, bit in members if bit.bit_count() == 1
+                      for j, mask in members if mask.bit_count() > 1 and j != i), None)
+        if clash is not None:
+            i, bit, j, mask = clash
+            parts = "+".join(sorted(d.atoms[a] for p, a in enumerate(d.blocks[j])
+                                    if mask >> p & 1))
+            raise LoopViolation("atom-join", (i, j), (
+                f"atom {d.atoms[d.blocks[i][bit.bit_length() - 1]]} of block {i} equals "
+                f"{parts} in block {j}; an atom cannot be a join of other atoms"))
 
     def class_key(rep):
         members = classes[rep]

@@ -9,7 +9,7 @@ import pytest
 from omlkit import (NotALattice, NotOrtho, NotOrthomodular, SizeCap, center,
                     commutes, enumerate_blocks, parse_greechie, paste, product,
                     triple_check, verify_oml)
-from omlkit.core import element_cap, maximal_cliques
+from omlkit.core import FiniteOML, element_cap, maximal_cliques
 from omlkit.corpus import CORPUS, boolean, bowtie, mo, pentagon
 
 from oracles import center_oracle, maximal_cliques_oracle
@@ -69,6 +69,13 @@ def test_tables_are_read_only():
         L.leq[0, 0] = False
     with pytest.raises(ValueError):
         L.meet[0, 0] = 1
+    # the type freezes its tables, whichever constructor built them
+    tables = ("leq", "neg", "meet", "join")
+    for K in (product(boolean(2), L),
+              FiniteOML(**{t: np.array(getattr(L, t)) for t in tables},
+                        names=L.names, zero=L.zero, one=L.one)):
+        for t in tables:
+            assert not getattr(K, t).flags.writeable, t
 
 
 def test_accessors():
@@ -264,6 +271,31 @@ def test_product_structure():
                     m = int(A.meet[x, u]) * B.n + int(B.meet[y, v])
                     assert int(P.meet[i, j]) == m
     assert [P.names[z] for z in center(P)][:2] == ["(0,0)", "(0,1)"]
+
+
+def test_product_tables_equal_the_audit():
+    # product builds its tables by index arithmetic and skips verify_oml;
+    # the audit of its order and complement must re-derive the same
+    # tables.  Each unordered pair of factors runs once (two distinct
+    # factors exercise both sides of the index arithmetic), up to 300
+    # elements, since the audit's meet/join loop is n**2 Python steps.
+    # mo(2) numbered backwards puts 0 and 1 away from the ends
+    L, back = mo(2), np.arange(6)[::-1]
+    flipped = verify_oml(L.leq[np.ix_(back, back)], back[L.neg[back]])
+    factors = [make() for make in CORPUS.values()] + [boolean(5), mo(6), flipped]
+    pairs = [(A, B) for i, A in enumerate(factors) for B in factors[i:]
+             if A.n * B.n <= 300]
+    assert len(pairs) == 83
+    for A, B in pairs:
+        P = product(A, B)
+        V = verify_oml(np.array(P.leq), np.array(P.neg), P.names)
+        assert P.names == V.names
+        assert (P.zero, P.one) == (V.zero, V.one)
+        assert type(P.zero) is int and type(P.one) is int
+        for table in ("leq", "neg", "meet", "join"):
+            got, want = getattr(P, table), getattr(V, table)
+            assert got.dtype == want.dtype and np.array_equal(got, want), table
+            assert not got.flags.writeable, table
 
 
 def test_maximal_cliques_matches_oracle():

@@ -119,6 +119,22 @@ def test_loop_legality():
     paste(parse_greechie(DIAGRAMS["pentagon"]))
 
 
+def test_atom_equal_to_join_rejected():
+    # a two-atom block makes its second atom the complement of the first;
+    # where another block splits that complement into several atoms, an
+    # atom becomes a join of other atoms, which no block's order says
+    cases = {
+        "a8 a3\na5 a3 a1\na8 a4 a2\n": "atom a8 of block 0 equals a1+a5 in block 1",
+        "x y\ny z w\nx p q\n": "atom x of block 0 equals w+z in block 1",
+        "a b\nb c d\n": "atom a of block 0 equals c+d in block 1",
+    }
+    for text, message in cases.items():
+        with pytest.raises(LoopViolation) as e:
+            paste(parse_greechie(text))
+        assert e.value.law == "atom-join" and e.value.witness == (0, 1), text
+        assert str(e.value).startswith(message), text
+
+
 def test_paste_cap():
     with pytest.raises(SizeCap):
         paste(parse_greechie(DIAGRAMS["pentagon"]), cap=10)

@@ -1,5 +1,7 @@
 """Modal saturation, embeddings into larger hosts, and actualization."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,11 @@ from omlkit import (EmbeddingInvalid, IncompatibleGlobalSection, ModalStructure,
                     born_extend, build_poset, center, check_modal_axioms,
                     check_section, enumerate_blocks, global_actualization_check,
                     modal_extend, possibility_sections, possibility_space,
-                    principal_section, product, saturate, solve_global)
+                    paste, parse_greechie, principal_section, product, saturate,
+                    solve_global)
 from omlkit.corpus import CORPUS, boolean, mo
+
+from oracles import center_oracle
 
 
 def test_saturate_mo2_profile():
@@ -43,17 +48,25 @@ def test_saturate_product_acts_componentwise():
 
 
 def test_diamond_is_least_central_above():
-    for name in ("mo3", "bowtie", "pentagon", "b2xmo2"):
-        L = CORPUS[name]()
+    loop3_6 = paste(parse_greechie("".join(f"a{i} b{i} a{(i + 1) % 6}\n"
+                                           for i in range(6))))
+    lattices = [CORPUS[name]() for name in ("mo3", "bowtie", "pentagon", "b2xmo2")]
+    lattices += [loop3_6, modal_extend(CORPUS["bowtie"](), "diagonal:2").host]
+    for L in lattices:
         M = saturate(L)
         central = set(M.central)
         assert central == {int(z) for z in center(L)}
+        assert central == set(center_oracle(L))
         for x in range(L.n):
             d = int(M.diamond[x])
             assert d in central and L.leq[x, d]
             for z in central:
                 if L.leq[x, z]:
                     assert L.leq[d, z]
+            # box(x) is the largest central element below x
+            below = [z for z in central if L.leq[z, x]]
+            (largest,) = [z for z in below if all(L.leq[c, z] for c in below)]
+            assert int(M.box[x]) == largest
 
 
 def test_saturated_box_satisfies_all_axioms():
@@ -154,6 +167,20 @@ def test_modal_extend_rejects_non_embedding():
     with pytest.raises(EmbeddingInvalid) as e:
         modal_extend(L, "product", factor=F, embed=[0])
     assert e.value.law == "shape"
+    # indices outside the host, past its end or negative, are rejected
+    # before any table lookup
+    for stray in (99, -1):
+        with pytest.raises(EmbeddingInvalid) as e:
+            modal_extend(B, "product", factor=F, embed=[0, 1, 2, stray])
+        assert e.value.law == "range" and e.value.witness == (stray,)
+
+
+def test_modal_extend_diagonal_of_boolean5_is_fast():
+    L = boolean(5)
+    t0 = time.perf_counter()
+    E = modal_extend(L, "diagonal:2")
+    assert time.perf_counter() - t0 < 2.0
+    assert E.host.n == 1024 and len(E.structure.central) == 1024
 
 
 def test_modal_extend_bad_specs():
