@@ -19,8 +19,8 @@ from .core import (FiniteOML, TripleReport, center, commutes, element_cap,
 from .corpus import CORPUS, boolean, bowtie, cabello18, chain2, mo, pentagon
 from .errors import (BlockSubsumed, CapExceeded, DimensionMismatch,
                      EmbeddingInvalid, ImproperInput,
-                     IncompatibleGlobalSection, LoopViolation, NotALattice,
-                     NotInW, NotOrtho, NotOrthomodular,
+                     IncompatibleGlobalSection, InternalError, LoopViolation,
+                     NotALattice, NotInW, NotOrtho, NotOrthomodular,
                      NonCommutingGenerators, OmlkitError, ParseError,
                      PreconditionPossibility, SingletonBlock, SizeCap,
                      ValidationError, ZeroVector)
@@ -45,8 +45,8 @@ __all__ = [
     "AxiomResult", "BlockSubsumed", "BooleanSubalgebra", "CORPUS",
     "CapExceeded", "ContextHypergraph", "DimensionMismatch",
     "EmbeddingInvalid", "Filter", "FiniteOML", "GreechieDiagram",
-    "ImproperInput", "IncompatibleGlobalSection", "LoopViolation",
-    "ModalAxiomReport", "ModalExtension", "ModalStructure",
+    "ImproperInput", "IncompatibleGlobalSection", "InternalError",
+    "LoopViolation", "ModalAxiomReport", "ModalExtension", "ModalStructure",
     "NonCommutingGenerators", "NotALattice", "NotInW", "NotOrtho",
     "NotOrthomodular", "OmlkitError", "ParseError", "PosetNode",
     "PossibilitySection", "PossibilitySpace", "PreconditionPossibility",

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteOML, maximal_cliques
-from .errors import CapExceeded, ImproperInput, NonCommutingGenerators, ValidationError
+from .errors import (CapExceeded, ImproperInput, NonCommutingGenerators, ValidationError,
+                     ensure)
 
 DEFAULT_SUBALGEBRA_CAP = 20000
 
@@ -261,7 +262,7 @@ def extend_to_maximal(f: Filter) -> Filter:
         m = mx if mx != host.zero else int(host.meet[m, host.neg[x]])
     members = tuple(x for x in f.domain.carrier if host.leq[m, x])
     out = Filter(domain=f.domain, members=members)
-    assert out.is_ultra()
+    ensure(out.is_ultra(), "extend_to_maximal yields an ultrafilter")
     return out
 
 
@@ -294,7 +295,7 @@ class TwoValuedHom:
             if x not in self.domain:
                 raise ValidationError("membership", (x,), "not a subalgebra of the domain")
         above = [b for b in sub.atoms if host.leq[self.true_atom, b]]
-        assert len(above) == 1
+        ensure(len(above) == 1, "a true atom lies below exactly one atom of a subalgebra")
         return TwoValuedHom(domain=sub, true_atom=above[0])
 
 
@@ -315,8 +316,8 @@ def extend_hom(f: TwoValuedHom, target: BooleanSubalgebra) -> TwoValuedHom:
             raise ValidationError("containment", (x,),
                                   "target must contain the hom's domain")
     lifted = filter_generate(target, f.ultrafilter().members)
-    assert lifted.proper
+    ensure(lifted.proper, "an ultrafilter generates a proper filter in a larger algebra")
     out = extend_to_maximal(lifted).two_valued_hom()
     for x in f.domain.carrier:
-        assert out.value(x) == f.value(x)
+        ensure(out.value(x) == f.value(x), "extend_hom agrees with the hom it extends")
     return out

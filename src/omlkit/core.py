@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotALattice, NotOrtho, NotOrthomodular, SizeCap
+from .errors import NotALattice, NotOrtho, NotOrthomodular, SizeCap, ensure
 
 DEFAULT_ELEMENT_CAP = 4096
 ELEMENT_CAP_ENV = "OMLKIT_ELEMENT_CAP"
@@ -287,13 +287,15 @@ def center(L: FiniteOML) -> tuple[int, ...]:
     is central (forms a distributive triple with every pair) exactly
     when it commutes with everything (Foulis-Holland theorem; Kalmbach,
     *Orthomodular Lattices*, 1983).  The result is always a Boolean
-    subalgebra carrier containing 0 and 1; this is asserted rather than
+    subalgebra carrier containing 0 and 1; this is checked rather than
     trusted.
     """
     central = L.commute.all(axis=1)
     z = np.flatnonzero(central)
-    assert central[L.zero] and central[L.one] and central[L.neg[z]].all()
-    assert central[L.meet[np.ix_(z, z)]].all() and central[L.join[np.ix_(z, z)]].all()
+    ensure(central[L.zero] and central[L.one] and central[L.neg[z]].all(),
+           "the centre holds 0, 1 and the complement of each member")
+    ensure(central[L.meet[np.ix_(z, z)]].all() and central[L.join[np.ix_(z, z)]].all(),
+           "the centre is closed under meet and join")
     return tuple(int(x) for x in z)
 
 

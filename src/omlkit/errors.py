@@ -81,6 +81,18 @@ class IncompatibleGlobalSection(ValidationError):
     on the possibility space."""
 
 
+class InternalError(OmlkitError):
+    """A self-check failed: a result breaks a law that its construction
+    guarantees.  This is a bug in omlkit, not a fault of the input."""
+
+
+def ensure(ok, claim: str) -> None:
+    """Raise InternalError stating ``claim`` unless ``ok``.  Unlike
+    ``assert``, the check still runs under ``python -O``."""
+    if not ok:
+        raise InternalError(f"self-check failed: {claim}")
+
+
 class ParseError(OmlkitError):
     """Malformed input text; carries 1-based line and column numbers."""
 

@@ -16,6 +16,7 @@ sections compressed onto it (``global_actualization_check``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .boolalg import (BooleanSubalgebra, TwoValuedHom, _boolean, extend_hom,
                       homs_to_2)
 from .core import FiniteOML, center, product
 from .errors import (EmbeddingInvalid, IncompatibleGlobalSection, NotInW,
-                     PreconditionPossibility)
+                     PreconditionPossibility, ensure)
 from .sheaf import Section, check_section, principal_poset, principal_section
 
 
@@ -36,6 +37,11 @@ class ModalStructure:
     box: np.ndarray
     diamond: np.ndarray
     central: tuple[int, ...]
+
+    @cached_property
+    def axioms(self) -> "ModalAxiomReport":
+        """``check_modal_axioms`` of this structure, evaluated once."""
+        return check_modal_axioms(self)
 
     def __repr__(self) -> str:
         return f"ModalStructure(n={self.lattice.n}, central={len(self.central)})"
@@ -50,15 +56,17 @@ def saturate(L: FiniteOML) -> ModalStructure:
     size = L.leq[:, zs].sum(axis=0)
     box = zs[np.where(L.leq[zs], size[:, None], -1).argmax(axis=0)]
     diamond = L.neg[box[L.neg]]
-    assert central[box].all() and L.leq[box, idx].all()
+    ensure(central[box].all() and L.leq[box, idx].all(), "box(a) is central and below a")
     # diamond really is the least central element above a
-    assert central[diamond].all() and L.leq[idx, diamond].all()
-    assert (~L.leq[:, zs] | L.leq[diamond][:, zs]).all()
+    ensure(central[diamond].all() and L.leq[idx, diamond].all(),
+           "diamond(a) is central and above a")
+    ensure((~L.leq[:, zs] | L.leq[diamond][:, zs]).all(),
+           "diamond(a) lies below every central element above a")
     box.setflags(write=False)
     diamond.setflags(write=False)
     M = ModalStructure(lattice=L, box=box, diamond=diamond, central=z)
-    report = check_modal_axioms(M)
-    assert report.ok, [r for r in report.results if not r.passed]
+    failed = [r.name for r in M.axioms.results if not r.passed]
+    ensure(not failed, "the saturated box satisfies S1-S8; it fails " + " ".join(failed))
     return M
 
 
@@ -209,7 +217,7 @@ def possibility_space(E: ModalExtension) -> PossibilitySpace:
     M = E.structure
     gens = sorted({int(M.diamond[E.embed[p]]) for p in E.base.elements})
     alg = generated_subalgebra(M.lattice, gens)
-    assert set(alg.carrier) <= set(M.central), "possibility space escaped the centre"
+    ensure(set(alg.carrier) <= set(M.central), "the possibility space lies in the centre")
     return PossibilitySpace(extension=E, algebra=alg)
 
 
@@ -253,17 +261,18 @@ def actualize(E: ModalExtension, W: BooleanSubalgebra, q: int,
         M.lattice, set(E.embed_carrier(W.carrier)) | set(space.carrier))
     seeds = tuple(nu.hom.ultrafilter().members) + (E.embed[q],)
     lifted = filter_generate(span, seeds)
-    assert lifted.proper, "possibility precondition must keep the filter proper"
+    ensure(lifted.proper, "the possibility precondition keeps the filter proper")
     hom = extend_to_maximal(lifted).two_valued_hom()
     P = principal_poset(span)
     nu_prime = principal_section(P, P.n - 1, hom)
 
-    assert hom.value(E.embed[q]) == 1
-    assert hom.restrict(space).true_atom == nu.hom.true_atom
+    ensure(hom.value(E.embed[q]) == 1, "actualize makes q true")
+    ensure(hom.restrict(space).true_atom == nu.hom.true_atom, "actualize restricts to nu")
     space_node = P.node_index(space.label())
     for child in P.down(space_node):
         expected = P.restrict_label(space_node, M.lattice.names[nu.hom.true_atom], child)
-        assert nu_prime.choice_at(child) == expected
+        ensure(nu_prime.choice_at(child) == expected,
+               "the actualized section restricts to nu below the possibility space")
     return nu_prime
 
 
@@ -295,7 +304,7 @@ def born_extend(E: ModalExtension, s: Section) -> Section:
     P = principal_poset(span)
     nu_prime = principal_section(P, P.n - 1, lifted)
     for x in W.carrier:
-        assert lifted.value(E.embed[x]) == f.value(x)
+        ensure(lifted.value(E.embed[x]) == f.value(x), "born_extend agrees with the context")
     return nu_prime
 
 
@@ -347,7 +356,7 @@ def global_actualization_check(E: ModalExtension, tau: Section) -> PossibilitySe
             "the overlap values generate an improper filter")
     hom = extend_to_maximal(lifted).two_valued_hom()
     for x, v in values.items():
-        assert hom.value(x) == v
+        ensure(hom.value(x) == v, "the possibility valuation keeps the overlap values")
     nu = PossibilitySection(space=poss, hom=hom)
     # nodewise comparison: tau and nu agree on every node's overlap
     for w in tau.domain:
@@ -356,5 +365,6 @@ def global_actualization_check(E: ModalExtension, tau: Section) -> PossibilitySe
         for x in node.subalg.carrier:
             ex = E.embed[x]
             if ex in space_set:
-                assert hom_w.value(x) == nu.value(ex)
+                ensure(hom_w.value(x) == nu.value(ex),
+                       "the global section and nu agree on every node's overlap")
     return nu

@@ -35,6 +35,10 @@ from .vectors import ContextHypergraph
 
 REST_LABEL = "rest"
 DEFAULT_SOLUTION_CAP = 100000
+# Search nodes a run with workers may spend in-process before it starts
+# its pool: about one pool start-up and shutdown (~10 ms for two
+# workers) at the 400-500 nodes per ms of searches this size.
+_POOL_BUDGET = 4000
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +426,11 @@ def _order_blocks(count: int, tables) -> list[int]:
     return sorted(range(count), key=lambda i: (-degree[i], i))
 
 
-def _backtrack(sizes, tables, order, limit, pin=None):
+class _OverBudget(Exception):
+    """A budgeted search visited more nodes than it was allowed."""
+
+
+def _backtrack(sizes, tables, order, limit, pin=None, budget=None):
     """Enumerate up to ``limit`` compatible choice tuples, depth-first.
 
     Each block's candidates are an int bitmask over its atom ordinals.
@@ -437,6 +445,10 @@ def _backtrack(sizes, tables, order, limit, pin=None):
     or emptied.  When there is no solution those blocks are an UNSAT core:
     no other block ever changed the search's course, so any family
     compatible on the core would have walked a branch to the bottom.
+
+    With a ``budget`` the search gives up, returning None, once it has
+    entered more than that many search nodes, leaves included.  Only a
+    budgeted search counts nodes.
     """
     count = len(sizes)
     rank = {i: depth for depth, i in enumerate(order)}
@@ -477,12 +489,27 @@ def _backtrack(sizes, tables, order, limit, pin=None):
                         core |= 1 << j
                         break
             else:
-                walk(depth + 1)
+                descend(depth + 1)
             for j, old in saved:
                 domains[j] = old
         assignment[i] = None
 
-    walk(0)
+    if budget is None:
+        descend = walk
+    else:
+        nodes = 0
+
+        def descend(depth):
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise _OverBudget
+            walk(depth)
+
+    try:
+        descend(0)
+    except _OverBudget:
+        return None
     return solutions, core
 
 
@@ -495,8 +522,15 @@ def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
     section, so the search runs there: most-constrained-first backtracking
     with forward propagation.  With ``enumerate_all`` every compatible
     family is produced (CapExceeded past ``solution_cap``), otherwise the
-    first in deterministic order.  ``workers`` splits the top-level branch
-    fan-out across processes; results merge in branch order, so the
+    first in deterministic order.
+
+    ``workers`` > 1 lets a long search split the top-level branch fan-out
+    across processes.  The search first runs in this process; only if it
+    enters more than ``_POOL_BUDGET`` nodes, about what one pool start-up
+    costs, is that attempt dropped and the search rerun in a pool, one
+    branch per value of the first block.  Most searches finish well
+    before that and never pay for a pool.  Branch results merge in value
+    order, which is the order the in-process search visits them, so the
     output is identical for any worker count.
     """
     tops = P.maximal_nodes()
@@ -505,20 +539,12 @@ def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
     order = _order_blocks(len(tops), tables)
     limit = solution_cap + 1 if enumerate_all else 1
 
-    first_block = order[0]
-    if workers > 1 and sizes[first_block] > 1:
-        payloads = [
-            (sizes, tables, order, first_block, v, limit)
-            for v in range(sizes[first_block])
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            branches = list(pool.map(_run_pinned, payloads))
-        solutions = [sol for sols, _ in branches for sol in sols][:limit]
-        core = 0  # every branch assigned the pinned block, so the union is a core
-        for _, branch_core in branches:
-            core |= branch_core
-    else:
-        solutions, core = _backtrack(sizes, tables, order, limit)
+    pooled = workers > 1 and sizes[order[0]] > 1
+    found = _backtrack(sizes, tables, order, limit,
+                       budget=_POOL_BUDGET if pooled else None)
+    if found is None:  # the search outgrew the budget: rerun it in the pool
+        found = _pooled_search(sizes, tables, order, limit, workers)
+    solutions, core = found
 
     if enumerate_all and len(solutions) > solution_cap:
         raise CapExceeded(len(solutions), solution_cap, "global sections")
@@ -534,6 +560,21 @@ def solve_global(P: SubalgebraPoset, enumerate_all: bool = False,
     sections = tuple(_family_to_section(P, owners, sol) for sol in solutions)
     return SolveResult(sat=True, sections=sections, certificate=None,
                        enumerated=enumerate_all)
+
+
+def _pooled_search(sizes, tables, order, limit, workers):
+    """The search as one pinned branch per value of the first block, run in
+    a process pool; solutions and cores merge in value order."""
+    first_block = order[0]
+    payloads = [(sizes, tables, order, first_block, v, limit)
+                for v in range(sizes[first_block])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        branches = list(pool.map(_run_pinned, payloads))
+    solutions = [sol for sols, _ in branches for sol in sols][:limit]
+    core = 0  # every branch assigned the pinned block, so the union is a core
+    for _, branch_core in branches:
+        core |= branch_core
+    return solutions, core
 
 
 def _run_pinned(payload):

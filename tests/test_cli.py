@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from omlkit import cli, modal
+
 DATA = importlib.resources.files("omlkit") / "data"
 MO2 = str(DATA / "mo2.gd")
 BOWTIE = str(DATA / "bowtie.gd")
@@ -102,6 +104,19 @@ def test_modal_golden():
         "S7 pass box(x v box(y)) = box(x) v box(y)\n"
         "S8 pass box(~x v (y ^ x)) <= ~box(x) v box(y)\n"
         "possibility-space: 0 1\nsections: 1\n")
+
+
+def test_modal_evaluates_the_axioms_once(monkeypatch, capsys):
+    calls = []
+    check = modal.check_modal_axioms
+    counting = lambda M: calls.append(M) or check(M)  # noqa: E731
+    monkeypatch.setattr(modal, "check_modal_axioms", counting)
+    # a CLI that imported the function itself would call it by this name
+    monkeypatch.setattr(cli, "check_modal_axioms", counting, raising=False)
+    for fmt in ("text", "structured"):
+        assert cli.main(["modal", BOWTIE, "--format", fmt]) == 0
+        assert capsys.readouterr().out == run("modal", BOWTIE, "--format", fmt).stdout
+    assert len(calls) == 2  # one per run: saturate's own audit
 
 
 def test_modal_diagonal_extension():
@@ -219,6 +234,26 @@ def test_worker_count_does_not_change_bytes():
     u1 = run("solve", CABELLO, "--workers", "1")
     u2 = run("solve", CABELLO, "--workers", "4")
     assert u1.stdout == u2.stdout
+
+
+def run_pooled(*argv):
+    """The CLI with the solver's pool budget at 0, so that every search
+    with more than one worker runs in the process pool."""
+    code = ("import sys; from omlkit import cli, sheaf; "
+            "sheaf._POOL_BUDGET = 0; sys.exit(cli.main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True)
+
+
+def test_pool_path_does_not_change_bytes():
+    pentagon = ("solve", PENTAGON, "--enumerate-all", "16")
+    for argv, workers in ((pentagon, "2"), (pentagon, "4"),
+                          (("solve", CABELLO), "4"),
+                          (("solve", CABELLO, "--format", "structured"), "2")):
+        one = run(*argv, "--workers", "1")
+        many = run_pooled(*argv, "--workers", workers)
+        assert one.returncode == many.returncode == 0
+        assert (one.stdout, one.stderr) == (many.stdout, many.stderr)
 
 
 def test_bad_worker_and_cap_flags():

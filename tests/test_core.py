@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from omlkit import (NotALattice, NotOrtho, NotOrthomodular, SizeCap, center,
-                    commutes, enumerate_blocks, parse_greechie, paste, product,
-                    triple_check, verify_oml)
+from omlkit import (InternalError, NotALattice, NotOrtho, NotOrthomodular,
+                    SizeCap, center, commutes, enumerate_blocks, parse_greechie,
+                    paste, product, triple_check, verify_oml)
 from omlkit.core import FiniteOML, element_cap, maximal_cliques
 from omlkit.corpus import CORPUS, boolean, bowtie, mo, pentagon
 
@@ -250,6 +250,15 @@ def test_center_matches_oracle():
         z = center(L)
         assert z == center_oracle(L), name
         assert len(z) == CENTER_SIZES[name], name
+
+
+def test_center_self_check_fires_on_a_corrupted_commute_table():
+    L = mo(2)
+    commute = np.array(L.commute)
+    commute[L.index("a")] = True  # a now commutes with everything, ~a does not
+    L.__dict__["commute"] = commute  # replace the cached table
+    with pytest.raises(InternalError, match="complement of each member"):
+        center(L)
 
 
 def test_center_of_bowtie_names():

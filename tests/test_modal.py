@@ -5,11 +5,12 @@ import time
 import numpy as np
 import pytest
 
-from omlkit import (EmbeddingInvalid, IncompatibleGlobalSection, ModalStructure,
+from omlkit import (AxiomResult, EmbeddingInvalid, IncompatibleGlobalSection,
+                    InternalError, ModalAxiomReport, ModalStructure,
                     NotInW, PreconditionPossibility, Section, actualize,
                     born_extend, build_poset, center, check_modal_axioms,
                     check_section, enumerate_blocks, global_actualization_check,
-                    modal_extend, possibility_sections, possibility_space,
+                    modal, modal_extend, possibility_sections, possibility_space,
                     paste, parse_greechie, principal_section, product, saturate,
                     solve_global)
 from omlkit.corpus import CORPUS, boolean, mo
@@ -77,6 +78,13 @@ def test_saturated_box_satisfies_all_axioms():
         assert report.ok, name
         assert [r.name for r in report.results] == [f"S{i}" for i in range(1, 9)]
         assert all(r.witness is None for r in report.results)
+
+
+def test_saturate_raises_when_its_audit_fails(monkeypatch):
+    crushed = ModalAxiomReport((AxiomResult("S3", "box(1) = 1", False, {"x": "1"}),))
+    monkeypatch.setattr(modal, "check_modal_axioms", lambda M: crushed)
+    with pytest.raises(InternalError, match="fails S3"):
+        saturate(mo(2))
 
 
 def test_diamond_distributes_over_join():

@@ -2,6 +2,7 @@
 
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 from types import SimpleNamespace
 
@@ -299,17 +300,84 @@ def test_solution_cap():
     assert e.value.cap == 7 and e.value.what == "global sections"
 
 
+def worker_cases():
+    """(poset, enumerate_all) inputs whose answers must not depend on the
+    worker count; every search among them stays below the pool budget."""
+    cases = [(build_poset(CORPUS[name](), mode="all"), True) for name in ("pentagon", "mo3")]
+    cases += [(build_poset(h, mode="blocks"), False)
+              for h in (cabello18(), ray_hypergraph(rays01(4)))]
+    return cases
+
+
 def test_workers_do_not_change_output():
-    for name in ("pentagon", "mo3"):
-        P = build_poset(CORPUS[name](), mode="all")
-        one = solve_global(P, enumerate_all=True, workers=1)
-        two = solve_global(P, enumerate_all=True, workers=2)
+    for P, enumerate_all in worker_cases():
+        one = solve_global(P, enumerate_all=enumerate_all, workers=1)
+        two = solve_global(P, enumerate_all=enumerate_all, workers=2)
+        assert one.sat == enumerate_all
         assert render_answer(one) == render_answer(two)
-    for h in (cabello18(), ray_hypergraph(rays01(4))):
-        H = build_poset(h, mode="blocks")
-        one = solve_global(H, workers=1)
-        assert not one.sat
-        assert render_answer(one) == render_answer(solve_global(H, workers=2))
+
+
+def search_args(P):
+    """The solver's (sizes, tables, order) for the maximal nodes of P."""
+    tops = P.maximal_nodes()
+    tables = _compatibility(P, tops)
+    return ([len(P.nodes[w].atom_labels) for w in tops], tables,
+            sheaf._order_blocks(len(tops), tables))
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Stand in for the solver's process pool and record every start."""
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sheaf, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+def test_pool_path_does_not_change_output(monkeypatch, pool_starts):
+    monkeypatch.setattr(sheaf, "_POOL_BUDGET", 0)  # every search outgrows it
+    cases = worker_cases()
+    for P, enumerate_all in cases:
+        one = solve_global(P, enumerate_all=enumerate_all, workers=1)
+        two = solve_global(P, enumerate_all=enumerate_all, workers=2)
+        assert render_answer(one) == render_answer(two)
+    assert pool_starts == [2] * len(cases)
+
+
+def test_pool_starts_only_past_the_budget(pool_starts):
+    for P, enumerate_all in worker_cases():  # pentagon, mo(3), cabello18, rays01(4)
+        solve_global(P, enumerate_all=enumerate_all, workers=2)
+    assert pool_starts == []
+    # mo(12) in blocks mode: twelve free two-atom blocks, 2^13 - 1 = 8191 nodes
+    P = build_poset(mo(12), mode="blocks")
+    assert sheaf._backtrack(*search_args(P), 2 ** 12, budget=8190) is None
+    assert len(sheaf._backtrack(*search_args(P), 2 ** 12, budget=8191)[0]) == 2 ** 12
+    one = solve_global(P, enumerate_all=True, workers=1)
+    assert pool_starts == []
+    two = solve_global(P, enumerate_all=True, workers=2)
+    assert pool_starts == [2]
+    assert len(two.sections) == 2 ** 12
+    assert render_answer(one) == render_answer(two)
+
+
+def test_pooled_core_and_certificate_equal_the_in_process_ones(monkeypatch):
+    hypergraphs = [cabello18(), ray_hypergraph(rays01(4)),
+                   ray_hypergraph(random.Random(4).sample(rays01(5), 118))]
+    for h in hypergraphs:
+        P = build_poset(h, mode="blocks")
+        solutions, core = sheaf._backtrack(*search_args(P), 1)
+        assert not solutions and core
+        # the union of the pinned-branch cores, from a real pool
+        assert sheaf._pooled_search(*search_args(P), 1, 2) == ([], core)
+        in_process = solve_global(P, workers=2)
+        with monkeypatch.context() as m:
+            m.setattr(sheaf, "_POOL_BUDGET", 0)
+            assert solve_global(P, workers=2).certificate == in_process.certificate
 
 
 def test_exact_one_oracle_agrees_with_brute_force():
