@@ -6,6 +6,13 @@ the complement a permutation array, and meet/join are precomputed
 ``verify_oml``; ``product`` is correct by construction.  Either way the
 tables are frozen, so the rest of the package indexes them without
 re-checking laws.
+
+``verify_oml`` works at array speed.  Order products OR together rows
+packed into 64-bit words, so they never wrap.  The meet of a and b is
+found by counting down-sets: it is the common lower bound m with
+|down(m)| = |down(a) & down(b)|.  Each a scans only its own down-set, a
+block of columns at a time, and that one scan gives both the count and
+the candidate m; joins are the same on the opposite order.
 """
 
 from __future__ import annotations
@@ -97,6 +104,105 @@ def _first_true(mask: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(v) for v in hits[0])
 
 
+# elements of the per-block temporaries of compose and of verify_oml's
+# meet/join tables, at most; a lattice of n elements also keeps the latter
+# within n**2, half the bytes of one of its tables
+_BLOCK = 1 << 22
+
+
+def _blocks(cost: np.ndarray, budget: int):
+    """Consecutive index ranges [i0, i1) whose summed cost stays within
+    ``budget``, or single indices that alone exceed it."""
+    ends = np.cumsum(cost)
+    i0 = 0
+    while i0 < len(ends):
+        spent = ends[i0 - 1] if i0 else 0
+        i1 = max(i0 + 1, int(np.searchsorted(ends, spent + budget, "right")))
+        yield i0, i1
+        i0 = i1
+
+
+def compose(r, s) -> np.ndarray:
+    """Bool relation product: out[i, k] = exists j with r[i, j] and s[j, k].
+
+    Row i is the OR of the rows of ``s`` that row i of ``r`` selects, on
+    rows packed into 64-bit words, a block of rows of ``r`` at a time.
+    Nothing is counted, so nothing can wrap, and no BLAS thread is woken
+    for a small product.
+    """
+    r, s = np.asarray(r, dtype=bool), np.asarray(s, dtype=bool)
+    packed = np.packbits(s, axis=1, bitorder="little")
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    out = np.zeros((len(r), words.shape[1]), dtype=np.uint64)
+    for i0, i1 in _blocks(r.sum(axis=1) * words.shape[1], _BLOCK):
+        i, j = np.nonzero(r[i0:i1])
+        if len(j):
+            sizes = np.bincount(i, minlength=i1 - i0)
+            some = np.flatnonzero(sizes)
+            starts = (np.cumsum(sizes) - sizes)[some]
+            out[i0 + some] = np.bitwise_or.reduceat(words[j], starts, axis=0)
+    return np.unpackbits(out.view(np.uint8), axis=1, count=s.shape[1],
+                         bitorder="little").view(bool)
+
+
+def _bound_key(below: np.ndarray) -> np.ndarray:
+    """key[b, m] = |down(m)| * n + m where m <= b, else 0, for the order
+    ``below`` (below[x, y] means x <= y)."""
+    n = len(below)
+    code = below.sum(axis=0) * n + np.arange(n)
+    return np.multiply(below.T, code.astype(np.min_scalar_type(n * n + n)), order="C")
+
+
+def _greatest_bounds(below, key, a0: int, a1: int) -> np.ndarray:
+    """t[b - a0, a - a0] = meet(a, b) in the order ``below``, for a in
+    a0..a1-1 and b >= a0, or -1 where a and b have no meet.
+
+    The meet of a and b is the lower bound m with the largest down-set,
+    and it is one exactly when |down(m)| = |down(a) & down(b)|, since
+    down(m) is a subset.  Column a scans ``key`` over its own down-set:
+    the maximum gives |down(m)| and m, and the nonzero entries, the
+    m <= b, count down(a) & down(b).
+    """
+    n = len(below)
+    cols = below[:, a0:a1].T
+    sizes = cols.sum(axis=1)  # >= 1: each a is below itself
+    starts = np.cumsum(sizes) - sizes
+    picked = np.take(key[a0:], np.nonzero(cols)[1], axis=1)
+    cnt = np.add.reduceat(picked != 0, starts, axis=1, dtype=np.min_scalar_type(n))
+    size, m = np.divmod(np.maximum.reduceat(picked, starts, axis=1).astype(np.int64), n)
+    return np.where(size == cnt, m, -1)
+
+
+def _meet_join(leq, names) -> tuple[np.ndarray, np.ndarray]:
+    """The meet and join tables of a bounded order.  Meets are read on
+    the order, joins on its opposite, for the columns a0..a1-1 of both
+    tables at a time and the rows b >= a0.  The first pair a <= b (by
+    index, row-major) without a meet or a join raises, the meet before
+    the join.
+    """
+    n = len(leq)
+    sides = [(below, _bound_key(below)) for below in (leq, leq.T)]
+    meet = np.empty((n, n), dtype=np.int64)
+    join = np.empty((n, n), dtype=np.int64)
+    scanned = (leq.sum(axis=0) + leq.sum(axis=1)) * (n - np.arange(n))
+    for a0, a1 in _blocks(scanned, min(_BLOCK, n * n)):
+        meets, joins = (_greatest_bounds(*side, a0, a1) for side in sides)
+        # a pair b < a of the block fails with its mirror (b, a), which
+        # comes first, so the first failing pair has a <= b
+        wm, wj = (_first_true((t < 0).T) for t in (meets, joins))
+        if wm is not None and (wj is None or wm <= wj):
+            a, b = a0 + wm[0], a0 + wm[1]
+            raise NotALattice("meet", (a, b),
+                              f"elements {names[a]} and {names[b]} have no meet")
+        if wj is not None:
+            a, b = a0 + wj[0], a0 + wj[1]
+            raise NotALattice("join", (a, b),
+                              f"elements {names[a]} and {names[b]} have no join")
+        meet[a0:, a0:a1], meet[a0:a1, a0:] = meets, meets.T
+        join[a0:, a0:a1], join[a0:a1, a0:] = joins, joins.T
+    return meet, join
+
+
 def verify_oml(leq, neg, names=None, cap: int | None = None) -> FiniteOML:
     """Validate an order matrix and complement map into a FiniteOML.
 
@@ -138,8 +244,7 @@ def verify_oml(leq, neg, names=None, cap: int | None = None) -> FiniteOML:
         raise NotALattice("antisymmetry", w,
                           f"elements {names[w[0]]} and {names[w[1]]} are below each other")
     # composition: reach[i, k] = exists j with i<=j and j<=k
-    reach = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    w = _first_true(reach & ~leq)
+    w = _first_true(compose(leq, leq) & ~leq)
     if w is not None:
         i, k = w
         j = int(np.flatnonzero(leq[i] & leq[:, k])[0])
@@ -155,25 +260,7 @@ def verify_oml(leq, neg, names=None, cap: int | None = None) -> FiniteOML:
     if zero == one:
         raise NotALattice("degenerate", (zero,), "bottom and top coincide")
 
-    # meet(a, b) is the element whose down-set equals downset(a) & downset(b)
-    down_key = {leq[:, i].tobytes(): i for i in range(n)}
-    up_key = {leq[i, :].tobytes(): i for i in range(n)}
-    meet = np.empty((n, n), dtype=np.int64)
-    join = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        col_a = leq[:, a]
-        row_a = leq[a, :]
-        for b in range(a, n):
-            m = down_key.get((col_a & leq[:, b]).tobytes())
-            if m is None:
-                raise NotALattice("meet", (a, b),
-                                  f"elements {names[a]} and {names[b]} have no meet")
-            j = up_key.get((row_a & leq[b, :]).tobytes())
-            if j is None:
-                raise NotALattice("join", (a, b),
-                                  f"elements {names[a]} and {names[b]} have no join")
-            meet[a, b] = meet[b, a] = m
-            join[a, b] = join[b, a] = j
+    meet, join = _meet_join(leq, names)
 
     w = _first_true(neg[neg] != np.arange(n))
     if w is not None:
@@ -194,11 +281,12 @@ def verify_oml(leq, neg, names=None, cap: int | None = None) -> FiniteOML:
         raise NotOrtho("complement-join", w,
                        f"element {names[w[0]]} joins its complement below 1")
 
-    # orthomodular law: a <= b implies b = a | (b & ~a)
-    recover = join[idx[:, None], meet[np.arange(n)[None, :], neg[:, None]]]
-    w = _first_true(leq & (recover != idx[None, :]))
+    # orthomodular law: a <= b implies b = a | (b & ~a), read on the
+    # comparable pairs in row-major order
+    below, above = np.nonzero(leq)
+    w = _first_true(join[below, meet[above, neg[below]]] != above)
     if w is not None:
-        a, b = w
+        a, b = int(below[w[0]]), int(above[w[0]])
         raise NotOrthomodular(
             "orthomodular", (a, b),
             f"{names[a]} <= {names[b]} but "
@@ -220,17 +308,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _neighbours(adjacent) -> list[int]:
+    """The rows of a bool matrix as int bitsets, diagonal cleared."""
+    packed = np.packbits(np.asarray(adjacent, dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") & ~(1 << v)
+            for v, row in enumerate(packed)]
+
+
 def maximal_cliques(adjacent) -> tuple[tuple[int, ...], ...]:
     """Maximal cliques of an undirected graph, each sorted, in sorted order.
 
     ``adjacent`` is a symmetric bool matrix; its diagonal is ignored.
     Bron-Kerbosch with Tomita pivoting over int bitsets, run from an
     explicit stack so clique size is not bounded by the recursion limit.
-    A graph with no vertices has no cliques.
+    A graph with no vertices has no cliques.  This is the lister for
+    large cliques, such as the blocks of a lattice (up to 2**k members);
+    ``lex_maximal_cliques`` is the one for small cliques.
     """
-    rows = np.asarray(adjacent, dtype=bool)
-    nbrs = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            & ~(1 << v) for v, row in enumerate(rows)]
+    nbrs = _neighbours(adjacent)
     cliques = []
     stack = [((), (1 << len(nbrs)) - 1, 0)] if nbrs else []
     while stack:
@@ -245,6 +340,32 @@ def maximal_cliques(adjacent) -> tuple[tuple[int, ...], ...]:
             p &= ~(1 << v)
             x |= 1 << v
     return tuple(sorted(cliques))
+
+
+def lex_maximal_cliques(adjacent) -> tuple[tuple[int, ...], ...]:
+    """The same cliques as ``maximal_cliques``, listed depth-first.
+
+    A clique grows only by vertices larger than its last one that are
+    adjacent to all its members, and it is maximal when no vertex at all
+    is.  Children are visited in ascending order, so the cliques come out
+    sorted.  Every clique is visited, so this suits graphs whose cliques
+    are small, such as the orthogonality graph of rays in dimension d,
+    where no clique has more than d members.
+    """
+    nbrs = _neighbours(adjacent)
+    cliques = []
+    stack = [((v,), v, nbrs[v]) for v in reversed(range(len(nbrs)))]
+    while stack:
+        clique, last, common = stack.pop()
+        if not common:
+            cliques.append(clique)
+            continue
+        larger = common >> (last + 1) << (last + 1)
+        while larger:
+            v = larger.bit_length() - 1
+            larger ^= 1 << v
+            stack.append((clique + (v,), v, common & nbrs[v]))
+    return tuple(cliques)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FiniteOML, verify_oml
+from .core import FiniteOML, compose, verify_oml
 from .errors import ParseError
 
 FORMAT_VERSION = 1
@@ -106,7 +106,7 @@ def parse_interchange(text: str, cap: int | None = None) -> FiniteOML:
             leq[a, b] = True
         # reflexive-transitive closure
         for _ in range(n):
-            grown = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
+            grown = leq | compose(leq, leq)
             if np.array_equal(grown, leq):
                 break
             leq = grown
@@ -121,8 +121,7 @@ def render_interchange(L: FiniteOML) -> str:
     n = L.n
     strict = L.leq & ~np.eye(n, dtype=bool)
     # remove transitive edges: keep a < b with nothing strictly between
-    through = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-    cover = strict & ~through
+    cover = strict & ~compose(strict, strict)
     lines = [f"oml {FORMAT_VERSION}", "elements " + " ".join(L.names)]
     for a in range(n):
         for b in np.flatnonzero(cover[a]):

@@ -81,7 +81,7 @@ class SubalgebraPoset:
 
     def maximal_nodes(self) -> tuple[int, ...]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return tuple(int(i) for i in range(self.n) if not strict[i].any())
+        return tuple(np.flatnonzero(~strict.any(axis=1)).tolist())
 
     def node_index(self, label: str) -> int:
         for i, node in enumerate(self.nodes):

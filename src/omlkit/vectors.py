@@ -3,21 +3,27 @@
 Vectors are read from a ``dim=N`` header plus one vector per line and
 canonicalised to primitive integer form (common denominator cleared,
 divided by the gcd, first nonzero coordinate positive), so equality and
-orthogonality are exact integer questions.  Contexts are the maximal
-cliques of the orthogonality graph with exactly ``dim`` members;
-smaller maximal cliques are counted but dropped.
+orthogonality are exact integer questions.  Plain decimal integer
+entries are read with ``int``; every other entry goes through
+``Fraction``.  Contexts are the maximal cliques of the orthogonality
+graph with exactly ``dim`` members; smaller maximal cliques are counted
+but dropped.  Mutually orthogonal nonzero rays are linearly independent,
+so no clique has more than ``dim`` members, and the depth-first
+``core.lex_maximal_cliques``, which extends each clique only by larger
+vertices, stays shallow.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
-from .core import maximal_cliques
+from .core import lex_maximal_cliques
 from .errors import DimensionMismatch, ParseError, ZeroVector
 
 
@@ -38,16 +44,24 @@ class RationalVector:
         return f"RationalVector({self.name})"
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _rational(entry) -> int | Fraction:
+    """An int for an int or a plain decimal integer token, else a Fraction
+    (which raises ValueError or ZeroDivisionError on a bad token); both
+    give the value ``Fraction(entry)`` gives."""
+    if type(entry) is int or (type(entry) is str and _DECIMAL.fullmatch(entry)):
+        return int(entry)
+    return Fraction(entry)
+
+
 def canonical_ray(entries) -> RationalVector:
     """Scale a rational vector to primitive integers, first nonzero positive."""
-    fracs = [Fraction(e) for e in entries]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
+    fracs = [_rational(e) for e in entries]
+    denom_lcm = lcm(*(f.denominator for f in fracs))
     ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no canonical ray")
     ints = [v // g for v in ints]
@@ -94,11 +108,15 @@ def hypergraph_from_rays(dim: int, rays) -> ContextHypergraph:
         if r.coords not in seen:
             seen.add(r.coords)
             unique.append(r)
-    # object dtype keeps Python integers, so the dot products are exact
+    # object dtype keeps Python integers, so the dot products are exact;
+    # int64 ones are too while dim * max|c|**2 < 2**63
     coords = np.array([r.coords for r in unique], dtype=object).reshape(len(unique), dim)
+    big = max((abs(c) for r in unique for c in r.coords), default=0)
+    if dim * big * big < 2**63:
+        coords = coords.astype(np.int64)
     ortho = np.asarray(coords @ coords.T == 0, dtype=bool)
     np.fill_diagonal(ortho, False)
-    cliques = maximal_cliques(ortho)
+    cliques = lex_maximal_cliques(ortho)
     contexts = tuple(c for c in cliques if len(c) == dim)
     ortho.setflags(write=False)
     return ContextHypergraph(
@@ -148,7 +166,7 @@ def parse_vectors(text: str) -> ContextHypergraph:
         for tok in tokens:
             col = line.index(tok, col - 1) + 1
             try:
-                entries.append(Fraction(tok))
+                entries.append(_rational(tok))
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad rational {tok!r}", lineno, col) from None
             col += len(tok)

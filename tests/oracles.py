@@ -86,6 +86,34 @@ def maximal_cliques_oracle(adjacent):
                              for v in range(n) if v not in s))
 
 
+def meet_join_oracle(leq):
+    """Meet and join tables of a bounded order, by down-set lookup.
+
+    ``leq`` is a square numpy bool array, ``leq[a, b]`` meaning a <= b.
+    The meet of a and b is the element whose down-set equals
+    down(a) & down(b), looked up by the bytes of that column; the join
+    the same on up-sets.  Returns ``(meet, join, None)``, or
+    ``(None, None, (law, (a, b)))`` for the first pair a <= b (by index,
+    row-major) without a "meet" or a "join", the meet checked first.
+    """
+    n = len(leq)
+    down_key = {leq[:, i].tobytes(): i for i in range(n)}
+    up_key = {leq[i, :].tobytes(): i for i in range(n)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            m = down_key.get((leq[:, a] & leq[:, b]).tobytes())
+            if m is None:
+                return None, None, ("meet", (a, b))
+            j = up_key.get((leq[a, :] & leq[b, :]).tobytes())
+            if j is None:
+                return None, None, ("join", (a, b))
+            meet[a][b] = meet[b][a] = m
+            join[a][b] = join[b][a] = j
+    return meet, join, None
+
+
 def _atoms_of_carrier(L, carrier):
     members = frozenset(carrier)
     return [x for x in carrier if x != L.zero and not any(

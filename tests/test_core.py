@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from omlkit import (InternalError, NotALattice, NotOrtho, NotOrthomodular,
-                    SizeCap, center, commutes, enumerate_blocks, parse_greechie,
-                    paste, product, triple_check, verify_oml)
-from omlkit.core import FiniteOML, element_cap, maximal_cliques
+                    OmlkitError, SizeCap, center, commutes, enumerate_blocks,
+                    parse_greechie, paste, product, triple_check, verify_oml)
+from omlkit import core
+from omlkit.core import (FiniteOML, element_cap, lex_maximal_cliques,
+                         maximal_cliques)
 from omlkit.corpus import CORPUS, boolean, bowtie, mo, pentagon
 
-from oracles import center_oracle, maximal_cliques_oracle
+from oracles import center_oracle, maximal_cliques_oracle, meet_join_oracle
 
 
 def loop3(k):
@@ -47,7 +49,7 @@ def chain_order(n):
 
 def transitive_closure(leq):
     while True:
-        grown = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
+        grown = leq | ((leq.astype(np.int64) @ leq.astype(np.int64)) > 0)
         if np.array_equal(grown, leq):
             return leq
         leq = grown
@@ -133,6 +135,33 @@ def test_order_axioms_rejected():
     assert e.value.witness == (0, 1, 2)
 
 
+def test_transitivity_witness_past_256_intermediates():
+    # 0 < 2 < j < 3 < 1 for the 256 elements j = 4..259, with 2 <= 3
+    # missing: a product in a wrapping 8-bit type counts 256 paths as 0
+    n = 260
+    leq = np.eye(n, dtype=bool)
+    leq[0, :] = leq[:, 1] = True
+    leq[2, 4:] = leq[4:, 3] = True
+    with pytest.raises(NotALattice) as e:
+        verify_oml(leq, np.arange(n)[::-1])
+    assert (e.value.law, e.value.witness) == ("transitivity", (2, 4, 3))
+
+
+def test_compose_equals_the_integer_product(monkeypatch):
+    # the bitset relation product against an int64 matmul, on empty,
+    # rectangular and word-straddling shapes, in one block and in many
+    rng = np.random.default_rng(7)
+    shapes = ((0, 0, 0), (1, 1, 1), (3, 5, 2), (2, 0, 3), (5, 5, 0), (70, 130, 65))
+    for block in (core._BLOCK, 1, 7):
+        monkeypatch.setattr(core, "_BLOCK", block)
+        for p, q, t in shapes:
+            for density in (0.0, 0.05, 0.5):
+                r, s = rng.random((p, q)) < density, rng.random((q, t)) < density
+                got = core.compose(r, s)
+                assert got.dtype == bool
+                assert np.array_equal(got, (r.astype(np.int64) @ s.astype(np.int64)) > 0)
+
+
 def test_bounds_required():
     # two maximal elements
     leq = np.eye(3, dtype=bool)
@@ -152,7 +181,18 @@ def test_missing_meet_rejected():
     leq = transitive_closure(leq)
     with pytest.raises(NotALattice) as e:
         verify_oml(leq, [5, 4, 3, 2, 1, 0])
-    assert e.value.law in ("meet", "join")
+    # a and b, the first pair, have two minimal upper bounds
+    assert (e.value.law, e.value.witness) == ("join", (1, 2))
+
+    # 0 < p,q < x,y < r,s < 1 numbered x, y first: x and y have neither a
+    # meet nor a join, and the meet is reported
+    leq = np.eye(8, dtype=bool)
+    for a, b in ((0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2),
+                 (1, 5), (1, 6), (2, 5), (2, 6), (5, 7), (6, 7)):
+        leq[a, b] = True
+    with pytest.raises(NotALattice) as e:
+        verify_oml(transitive_closure(leq), np.arange(8)[::-1])
+    assert (e.value.law, e.value.witness) == ("meet", (1, 2))
 
 
 def test_complement_axioms_rejected():
@@ -191,6 +231,23 @@ def test_orthomodular_law_rejected_with_witness():
         verify_oml(leq, [5, 4, 3, 2, 1, 0], names=("0", "a", "b", "c", "d", "1"))
     assert e.value.witness == (1, 2)
     assert "a <= b" in str(e.value)
+
+    # products with the hexagon, renumbered: the witness is the first
+    # comparable pair in row-major order where the law fails
+    rng = random.Random(6)
+    hexagon = (leq, np.array([5, 4, 3, 2, 1, 0]))
+    for L in (boolean(2), mo(2), pentagon()):
+        factor = (np.array(L.leq), np.array(L.neg))
+        for (l1, n1), (l2, n2) in ((factor, hexagon), (hexagon, factor)):
+            big, neg = np.kron(l1, l2), (n1[:, None] * len(n2) + n2[None, :]).ravel()
+            perm = np.array(rng.sample(range(len(neg)), len(neg)))
+            big, neg = big[np.ix_(perm, perm)], np.argsort(perm)[neg[perm]]
+            meet, join, _ = meet_join_oracle(big)
+            want = next((a, b) for a, b in zip(*np.nonzero(big))
+                        if join[a][meet[b][neg[a]]] != b)
+            with pytest.raises(NotOrthomodular) as e:
+                verify_oml(big, neg)
+            assert e.value.witness == want
 
 
 def test_element_cap(monkeypatch):
@@ -286,15 +343,15 @@ def test_product_tables_equal_the_audit():
     # product builds its tables by index arithmetic and skips verify_oml;
     # the audit of its order and complement must re-derive the same
     # tables.  Each unordered pair of factors runs once (two distinct
-    # factors exercise both sides of the index arithmetic), up to 300
-    # elements, since the audit's meet/join loop is n**2 Python steps.
+    # factors exercise both sides of the index arithmetic), up to the
+    # 1296 elements of mo2xmo2 squared.
     # mo(2) numbered backwards puts 0 and 1 away from the ends
     L, back = mo(2), np.arange(6)[::-1]
     flipped = verify_oml(L.leq[np.ix_(back, back)], back[L.neg[back]])
     factors = [make() for make in CORPUS.values()] + [boolean(5), mo(6), flipped]
     pairs = [(A, B) for i, A in enumerate(factors) for B in factors[i:]
-             if A.n * B.n <= 300]
-    assert len(pairs) == 83
+             if A.n * B.n <= 1300]
+    assert len(pairs) == 105
     for A, B in pairs:
         P = product(A, B)
         V = verify_oml(np.array(P.leq), np.array(P.neg), P.names)
@@ -307,6 +364,81 @@ def test_product_tables_equal_the_audit():
             assert not got.flags.writeable, table
 
 
+def _meet_join_cases():
+    """Lattices and seeded corruptions of their orders and complements:
+    one pair added or dropped, one pair added and the order closed again
+    (also turned upside down, which swaps missing joins for missing
+    meets), or two complements swapped."""
+    lattices = ([make() for make in CORPUS.values()]
+                + [loop3(k) for k in range(5, 17)]
+                + [boolean(k) for k in range(2, 9)]
+                + [mo(k) for k in range(2, 17)]
+                + [product(mo(3), loop3(5)), product(pentagon(), boolean(3)),
+                   product(bowtie(), mo(2))])
+    rng = random.Random(20260418)
+    for L in lattices:
+        yield np.array(L.leq), np.array(L.neg)
+        for kind in ("add", "drop", "add-close", "add-close-dual", "swap-neg"):
+            leq, neg = np.array(L.leq), np.array(L.neg)
+            a, b = rng.randrange(L.n), rng.randrange(L.n)
+            if kind == "swap-neg":
+                neg[[a, b]] = neg[[b, a]]
+            else:
+                leq[a, b] = kind != "drop"
+                if kind.startswith("add-close"):
+                    leq = transitive_closure(leq)
+                if kind == "add-close-dual":
+                    leq = leq.T.copy()
+            yield leq, neg
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OmlkitError as e:
+        return e.law, e.witness
+
+
+def test_meet_join_tables_equal_the_oracle(monkeypatch):
+    # verify_oml's down-set-count kernel against the lookup loop it
+    # replaced: the same tables, or the same first failing law and
+    # witness; small blocks put that pair in a later block
+    order_laws = {"reflexivity", "antisymmetry", "transitivity", "bounds", "degenerate"}
+    seen = {"ok": 0, "meet": 0, "join": 0}
+    default = core._BLOCK
+    for leq, neg in _meet_join_cases():
+        try:
+            verify_oml(leq, neg)
+            law = None
+        except OmlkitError as e:
+            law = e.law
+        if law in order_laws:
+            continue
+        meet, join, failed = meet_join_oracle(leq)
+        names = tuple(map(str, range(len(leq))))
+        for block in (default, 1, 97) if len(leq) <= 100 else (default,):
+            monkeypatch.setattr(core, "_BLOCK", block)
+            got = _outcome(lambda: core._meet_join(leq, names))
+            if failed is None:
+                assert np.array_equal(got[0], meet) and np.array_equal(got[1], join)
+                assert got[0].dtype == got[1].dtype == np.int64
+            else:
+                assert got == failed
+        if failed is not None:
+            assert law == failed[0]
+        seen["ok" if failed is None else failed[0]] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_verify_boolean10_is_fast():
+    L = boolean(10)
+    leq, neg = np.array(L.leq), np.array(L.neg)
+    t0 = time.perf_counter()
+    again = verify_oml(leq, neg)
+    assert time.perf_counter() - t0 < 2.0
+    assert np.array_equal(again.meet, L.meet) and np.array_equal(again.join, L.join)
+
+
 def test_maximal_cliques_matches_oracle():
     rng = random.Random(20061222)
     for _ in range(200):
@@ -317,6 +449,7 @@ def test_maximal_cliques_matches_oracle():
             for b in range(a + 1, n):
                 adj[a, b] = adj[b, a] = rng.random() < density
         assert list(maximal_cliques(adj)) == maximal_cliques_oracle(adj)
+        assert lex_maximal_cliques(adj) == maximal_cliques(adj)
     # a triangle plus an isolated vertex; the edgeless graph; no vertices
     triangle = np.zeros((4, 4), dtype=bool)
     triangle[:3, :3] = True
@@ -325,6 +458,7 @@ def test_maximal_cliques_matches_oracle():
                           (np.zeros((0, 0), dtype=bool), [])):
         assert maximal_cliques_oracle(adj) == expected
         assert list(maximal_cliques(adj)) == expected
+        assert list(lex_maximal_cliques(adj)) == expected
 
 
 def test_center_of_boolean8_is_fast():

@@ -86,3 +86,28 @@ def test_cap_forwarded():
     text = render_interchange(CORPUS["boolean3"]())
     with pytest.raises(SizeCap):
         parse_interchange(text, cap=4)
+
+
+def mo_cover_text(k):
+    """MO(k) in cover form: 2k atoms between 0 and 1, a_i and b_i complements."""
+    atoms = [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
+    lines = ["oml 1", "elements 0 " + " ".join(atoms) + " 1"]
+    lines += [f"cover 0 {x}" for x in atoms] + [f"cover {x} 1" for x in atoms]
+    lines += ["neg 0 1", "neg 1 0"]
+    lines += [f"neg a{i} b{i}" for i in range(k)] + [f"neg b{i} a{i}" for i in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+def test_mo_round_trips_past_256_atoms():
+    # 0 <= x <= 1 through 2k atoms: a product in a wrapping 8-bit type
+    # counts the 256 paths of MO(128) as none, so the closure lost 0 <= 1
+    # and the renderer wrote a cover 0 1
+    for k in (127, 128, 129):
+        L = parse_interchange(mo_cover_text(k))
+        assert L.n == 2 * k + 2
+        assert L.leq[L.index("0"), L.index("1")]
+        text = render_interchange(L)
+        assert sum(line.startswith("cover ") for line in text.splitlines()) == 4 * k
+        back = parse_interchange(text)
+        assert back.names == L.names
+        assert (back.leq == L.leq).all() and (back.neg == L.neg).all()

@@ -82,6 +82,14 @@ def test_poset_blocks_mode_adds_pairwise_meets():
     assert P.maximal_nodes() == (1, 2)
 
 
+def test_maximal_nodes_are_the_nodes_below_no_other():
+    for P in sample_posets() + [build_poset(ray_hypergraph(rays01(5)), mode="blocks")]:
+        strict = P.leq & ~np.eye(P.n, dtype=bool)
+        want = tuple(i for i in range(P.n) if not strict[i].any())
+        got = P.maximal_nodes()
+        assert got == want and all(type(i) is int for i in got)
+
+
 def test_poset_modes_and_errors():
     with pytest.raises(ValueError):
         build_poset(mo(2), mode="spanning")
